@@ -4,8 +4,6 @@ Exit codes: 0 everything verified, 1 a verification verdict failed,
 2 invalid input, 3 the input violates a geometric assumption of the
 growth process.  All emitted JSON is byte-identical across runs: keys
 sorted, floats at 9 significant digits, timings reported on stderr only.
-The environment variable HYPERBASIS_SEEDLESS is reserved and ignored;
-every run is deterministic already.
 """
 
 from __future__ import annotations
@@ -114,6 +112,18 @@ def cmd_simulate(args) -> int:
     return EXIT_OK
 
 
+def _blocks_payload(result: prune.PruneResult) -> list[dict]:
+    return [
+        {
+            "kind": b.kind,
+            "arcs": list(b.arcs),
+            "vertices": list(b.vertices),
+            "isolated_vertex": b.isolated_vertex,
+        }
+        for b in result.blocks
+    ]
+
+
 def cmd_prune(args) -> int:
     with open(args.map, "r", encoding="utf-8") as fh:
         smap = sphere.from_json(fh.read())
@@ -122,15 +132,7 @@ def cmd_prune(args) -> int:
     payload = {
         "kept": list(result.kept),
         "deleted": list(result.deleted),
-        "blocks": [
-            {
-                "kind": b.kind,
-                "arcs": list(b.arcs),
-                "vertices": list(b.vertices),
-                "isolated_vertex": b.isolated_vertex,
-            }
-            for b in result.blocks
-        ],
+        "blocks": _blocks_payload(result),
         "trace": result.trace,
         "verification": report,
     }
@@ -229,15 +231,7 @@ def cmd_pipeline(args) -> int:
             "kept": list(result.kept),
             "deleted": list(result.deleted),
             "kappa": kap,
-            "blocks": [
-                {
-                    "kind": b.kind,
-                    "arcs": list(b.arcs),
-                    "vertices": list(b.vertices),
-                    "isolated_vertex": b.isolated_vertex,
-                }
-                for b in result.blocks
-            ],
+            "blocks": _blocks_payload(result),
             "trace": result.trace,
         },
         "verification": dict(verification, theorem_chain_ok=chain_ok),

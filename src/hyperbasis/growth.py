@@ -11,6 +11,11 @@ a loop at the self-touching point, or an edge between the touching pair.
 Simultaneous candidates (within 1e-9 relative) are ordered pair-before-
 self, then lexicographically by endpoint pair, which makes every run
 reproducible bit for bit.
+
+``simulate`` reads the metric model once per vertex (its loop radius)
+and once per unordered pair (their distance) before the first event; a
+non-finite value raises ``InvalidMetric``.  Each event still rescans
+every candidate, so a run with n cone points costs O(n^3) table reads.
 """
 
 from __future__ import annotations
@@ -128,7 +133,22 @@ class GrowthLog:
 def simulate(model) -> GrowthLog:
     """Run the growth process to completion on a metric model."""
     n = model.n_points
-    active = set(range(1, n + 1))
+    vertices = range(1, n + 1)
+    # The oracle values never change during a run, so each is read once:
+    # loop[i] per vertex, and dist[i][w] per unordered pair, filled on both
+    # sides (the models are exactly symmetric).
+    loop = [0.0] * (n + 1)
+    dist = [[0.0] * (n + 1) for _ in range(n + 1)]
+    for i in vertices:
+        loop[i] = model.loop_radius(i)
+        if not math.isfinite(loop[i]):
+            raise InvalidMetric(f"loop radius of vertex {i} is {loop[i]}")
+        for w in range(i + 1, n + 1):
+            d = model.pair_distance(i, w)
+            if not math.isfinite(d):
+                raise InvalidMetric(f"distance between {i} and {w} is {d}")
+            dist[i][w] = dist[w][i] = d
+    active = set(vertices)
     frozen_radius: dict[int, float] = {}
     events: list[GrowthEvent] = []
     j = 0
@@ -137,30 +157,32 @@ def simulate(model) -> GrowthLog:
     while active:
         # (radius, kind rank, endpoint pair, payload); pairs beat self touches
         candidates: list[tuple[float, int, tuple[int, int], dict]] = []
-        for i in sorted(active):
+        active_sorted = sorted(active)
+        frozen_sorted = sorted(frozen_radius.items())
+        for i in active_sorted:
             candidates.append(
                 (
-                    model.loop_radius(i),
+                    loop[i],
                     1,
                     (i, i),
                     {"kind": "self", "i": i, "j": None, "other_frozen": False, "k": 1},
                 )
             )
-            for w in sorted(active):
+            for w in active_sorted:
                 if w <= i:
                     continue
                 candidates.append(
                     (
-                        model.pair_distance(i, w) / 2.0,
+                        dist[i][w] / 2.0,
                         0,
                         (i, w),
                         {"kind": "pair", "i": i, "j": w, "other_frozen": False, "k": 2},
                     )
                 )
-            for f, rf in sorted(frozen_radius.items()):
+            for f, rf in frozen_sorted:
                 candidates.append(
                     (
-                        model.pair_distance(i, f) - rf,
+                        dist[i][f] - rf,
                         0,
                         (min(i, f), max(i, f)),
                         {"kind": "pair", "i": i, "j": f, "other_frozen": True, "k": 1},

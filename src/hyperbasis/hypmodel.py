@@ -8,10 +8,10 @@ form <x,y> = x0*y0 + x1*y1 - x2*y2; distances between cone points and
 from cone points to boundary edges are all that is ever needed.
 
 A synthetic model loads an explicit distance matrix, loop radii, and an
-arc placement table from JSON.  Its data is validated for symmetry and
-positivity only; whether it is realizable by an actual cone metric is
-not certified, and geometric impossibilities surface downstream as
-typed errors.
+arc placement table from JSON.  Its data is validated for finiteness,
+symmetry and positivity only; whether it is realizable by an actual cone
+metric is not certified, and geometric impossibilities surface
+downstream as typed errors.
 """
 
 from __future__ import annotations
@@ -264,7 +264,7 @@ class SyntheticModel(MetricModel):
             or any(not isinstance(row, list) or len(row) != n for row in dist)
         ):
             raise InputError(f"distances must be a {n}x{n} matrix")
-        self.distances = [[float(x) for x in row] for row in dist]
+        self.distances = [_finite_floats(row, "distances") for row in dist]
         for a in range(n):
             if self.distances[a][a] != 0.0:
                 raise InputError("distance matrix has nonzero diagonal")
@@ -276,26 +276,51 @@ class SyntheticModel(MetricModel):
         radii = data.get("loop_radii")
         if not isinstance(radii, list) or len(radii) != n:
             raise InputError(f"loop_radii must list {n} values")
-        self.loop_radii = [float(x) for x in radii]
+        self.loop_radii = _finite_floats(radii, "loop_radii")
         if any(r <= 0 for r in self.loop_radii):
             raise InputError("loop radii must be positive")
-        self.arc_table = []
-        for entry in data.get("arcs", []):
-            kind = entry.get("kind")
-            if kind not in ("edge", "loop"):
-                raise InputError(f"arc kind must be edge or loop, got {kind!r}")
-            i = self._check_vertex(int(entry["i"]))
-            j = self._check_vertex(int(entry["j"])) if kind == "edge" else None
-            self.arc_table.append(
-                ArcEmbedding(
-                    kind=kind,
-                    i=i,
-                    j=j,
-                    at=int(entry.get("at", 0)),
-                    enclosed=tuple(int(x) for x in entry.get("enclosed", ())),
-                )
-            )
+        entries = data.get("arcs", [])
+        if not isinstance(entries, list):
+            raise InputError("arcs must be a list")
+        self.arc_table = [
+            self._arc_entry(idx, entry) for idx, entry in enumerate(entries)
+        ]
         self._used: set[int] = set()
+
+    def _arc_entry(self, idx: int, entry) -> ArcEmbedding:
+        """Validated placement descriptor of ``arcs[idx]``."""
+        if not isinstance(entry, dict):
+            raise InputError(f"arc entry {idx} must be an object, got {entry!r}")
+        kind = entry.get("kind")
+        if kind not in ("edge", "loop"):
+            raise InputError(
+                f"arc entry {idx}: kind must be edge or loop, got {kind!r}"
+            )
+
+        def integer(key, value):
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise InputError(
+                    f"arc entry {idx}: {key!r} must be an integer, got {value!r}"
+                )
+            return value
+
+        def vertex(key):
+            if key not in entry:
+                raise InputError(f"arc entry {idx}: missing {key!r}")
+            return self._check_vertex(integer(key, entry[key]))
+
+        enclosed = entry.get("enclosed", [])
+        if not isinstance(enclosed, list):
+            raise InputError(
+                f"arc entry {idx}: 'enclosed' must be a list, got {enclosed!r}"
+            )
+        return ArcEmbedding(
+            kind=kind,
+            i=vertex("i"),
+            j=vertex("j") if kind == "edge" else None,
+            at=integer("at", entry.get("at", 0)),
+            enclosed=tuple(integer("enclosed", x) for x in enclosed),
+        )
 
     def pair_distance(self, i: int, j: int) -> float:
         self._check_vertex(i)
@@ -350,6 +375,17 @@ class SyntheticModel(MetricModel):
                     f"event {ev.m} joins two occupied vertices; not a growth arc"
                 )
         return builder.finalize()
+
+
+def _finite_floats(values, field: str) -> list[float]:
+    try:
+        out = [float(x) for x in values]
+    except (TypeError, ValueError) as e:
+        raise InputError(f"{field} must hold numbers: {e}") from e
+    bad = [x for x in out if not math.isfinite(x)]
+    if bad:
+        raise InputError(f"{field} must be finite, got {bad[0]}")
+    return out
 
 
 def load_synthetic(source, name: str | None = None) -> SyntheticModel:

@@ -36,7 +36,6 @@ __all__ = [
     "RegionNode",
     "RegionTree",
     "region_tree",
-    "region_units",
     "region_admits_odd_curve",
     "is_nonseparating",
 ]
@@ -727,11 +726,6 @@ def region_tree(smap: SphereMap, subgraph) -> RegionTree:
     )
 
 
-def region_units(smap: SphereMap, subgraph) -> dict[int, list[tuple[str, int]]]:
-    tree = region_tree(smap, subgraph)
-    return {n: tree.units(n) for n in tree.nodes}
-
-
 def region_admits_odd_curve(smap: SphereMap, subgraph, node_id: int, tree: RegionTree | None = None) -> bool:
     """Whether the region contains a simple closed curve cutting the cone
     points into two odd halves: true iff some unit count is odd."""
@@ -819,17 +813,6 @@ class MapBuilder:
                 out.append(pos)
         return out
 
-    def region_items(self, region: int) -> tuple[list[int], list[int]]:
-        """(component keys with a face here, isolated vertices here)."""
-        r = self._regions[region]
-        comps = sorted(
-            {
-                self._comp_uf.find(self.dart_vertex[fk])
-                for fk in r["faces"]
-            }
-        )
-        return comps, sorted(r["isolated"])
-
     def region_item_contents(self, region: int) -> list[dict]:
         """Direct items of a region with their total nested vertex sets.
 
@@ -876,12 +859,6 @@ class MapBuilder:
         for v in sorted(self._regions[region]["isolated"]):
             items.append({"face": None, "vertices": frozenset({v})})
         return items
-
-    def component_vertices(self, v: int) -> list[int]:
-        root = self._comp_uf.find(v)
-        return sorted(
-            x for x in self.rotations if self._comp_uf.find(x) == root
-        )
 
     def add_bone(self, arc_id: int, u: int, w: int) -> None:
         """Edge between two bare vertices lying in a common region."""

@@ -159,3 +159,79 @@ def test_pipeline_nongeometric_model_exits_3(tmp_path, capsys):
     path.write_text(json.dumps(model))
     code, _, _ = run(["pipeline", "--model", str(path)], capsys)
     assert code == 3
+
+
+def genus2_model(**changes):
+    n = 6
+    model = {
+        "genus": 2,
+        "distances": [[0.0 if a == b else 2.0 for b in range(n)] for a in range(n)],
+        "loop_radii": [0.5] * n,
+        "arcs": [{"kind": "loop", "i": i, "enclosed": []} for i in range(1, n + 1)],
+    }
+    model.update(changes)
+    return model
+
+
+def run_model(model, tmp_path, capsys):
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(model))    # NaN and Infinity are JSON literals here
+    return run(["pipeline", "--model", str(path)], capsys)
+
+
+@pytest.mark.parametrize(
+    "changes, message",
+    [
+        ({"loop_radii": [0.5, math.nan, 0.5, 0.5, 0.5, 0.5]}, "loop_radii must be finite, got nan"),
+        ({"loop_radii": [0.5] * 5 + [math.inf]}, "loop_radii must be finite, got inf"),
+        (
+            {"distances": [[0.0 if a == b else -math.inf for b in range(6)] for a in range(6)]},
+            "distances must be finite, got -inf",
+        ),
+        ({"loop_radii": [0.5] * 5 + ["x"]}, "loop_radii must hold numbers"),
+    ],
+)
+def test_nonfinite_model_values_exit_2(changes, message, tmp_path, capsys):
+    code, _, err = run_model(genus2_model(**changes), tmp_path, capsys)
+    assert code == 2
+    assert message in err
+    assert "Traceback" not in err
+
+
+def test_nonfinite_oracle_value_exits_2(monkeypatch, capsys):
+    from hyperbasis import hypmodel
+
+    monkeypatch.setattr(
+        hypmodel.RegularDoubledPolygonModel, "loop_radius", lambda self, i: math.nan
+    )
+    code, _, err = run(["pipeline", "--genus", "2"], capsys)
+    assert code == 2
+    assert "loop radius of vertex 1 is nan" in err
+
+
+@pytest.mark.parametrize(
+    "entry, message",
+    [
+        ({"kind": "edge", "i": 2}, "arc entry 1: missing 'j'"),
+        ({"kind": "loop", "enclosed": []}, "arc entry 1: missing 'i'"),
+        ({"kind": "edge", "i": "2", "j": 3}, "arc entry 1: 'i' must be an integer, got '2'"),
+        ({"kind": "edge", "i": 2, "j": 3.5}, "arc entry 1: 'j' must be an integer, got 3.5"),
+        ({"kind": "edge", "i": 2, "j": 3, "at": None}, "arc entry 1: 'at' must be an integer"),
+        ({"kind": "loop", "i": 2, "enclosed": [1, True]}, "arc entry 1: 'enclosed' must be an integer"),
+        ({"kind": "loop", "i": 2, "enclosed": 1}, "arc entry 1: 'enclosed' must be a list"),
+        ({"kind": "bone", "i": 2}, "arc entry 1: kind must be edge or loop"),
+        (["edge", 2, 3], "arc entry 1 must be an object"),
+    ],
+)
+def test_malformed_arc_entry_exits_2(entry, message, tmp_path, capsys):
+    arcs = [{"kind": "loop", "i": 1, "enclosed": []}, entry]
+    code, _, err = run_model(genus2_model(arcs=arcs), tmp_path, capsys)
+    assert code == 2
+    assert message in err
+    assert "Traceback" not in err
+
+
+def test_arcs_not_a_list_exits_2(tmp_path, capsys):
+    code, _, err = run_model(genus2_model(arcs={"kind": "loop"}), tmp_path, capsys)
+    assert code == 2
+    assert "arcs must be a list" in err

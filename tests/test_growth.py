@@ -3,7 +3,7 @@ import math
 import pytest
 
 from hyperbasis import bounds, growth, hypmodel
-from hyperbasis.errors import BoundViolation, EmbeddingError, InputError
+from hyperbasis.errors import BoundViolation, EmbeddingError, InputError, InvalidMetric
 from hyperbasis.spheremap import ComponentKind, classify_components
 
 
@@ -184,3 +184,226 @@ def test_partial_log_single_self_touch():
     kinds = classify_components(graph)
     assert kinds.count(ComponentKind.LOOP) == 1
     assert kinds.count(ComponentKind.ISOLATED_VERTEX) == 5
+
+
+# -- differential test against the per-round rescan ---------------------
+
+
+def rescan_simulate(model):
+    """Reference: the growth loop that asks the model again every round."""
+    n = model.n_points
+    active = set(range(1, n + 1))
+    frozen_radius = {}
+    events = []
+    j = 0
+    r_prev = 0.0
+    while active:
+        candidates = []
+        for i in sorted(active):
+            candidates.append(
+                (
+                    model.loop_radius(i),
+                    1,
+                    (i, i),
+                    {"kind": "self", "i": i, "j": None, "other_frozen": False, "k": 1},
+                )
+            )
+            for w in sorted(active):
+                if w <= i:
+                    continue
+                candidates.append(
+                    (
+                        model.pair_distance(i, w) / 2.0,
+                        0,
+                        (i, w),
+                        {"kind": "pair", "i": i, "j": w, "other_frozen": False, "k": 2},
+                    )
+                )
+            for f, rf in sorted(frozen_radius.items()):
+                candidates.append(
+                    (
+                        model.pair_distance(i, f) - rf,
+                        0,
+                        (min(i, f), max(i, f)),
+                        {"kind": "pair", "i": i, "j": f, "other_frozen": True, "k": 1},
+                    )
+                )
+        r_min = min(c[0] for c in candidates)
+        tol = abs(r_min) * 1e-9 + 1e-18
+        tied = [c for c in candidates if c[0] <= r_min + tol]
+        tied.sort(key=lambda c: (c[1], c[2]))
+        r, _, _, ev = tied[0]
+        if r < r_prev - 1e-9:
+            raise InvalidMetric(
+                f"event radius {r} decreases below {r_prev} at step {len(events) + 1}"
+            )
+        if r <= 0:
+            raise InvalidMetric(f"nonpositive event radius {r}")
+        events.append(
+            growth.GrowthEvent(
+                m=len(events) + 1,
+                kind=ev["kind"],
+                i=ev["i"],
+                j=ev["j"],
+                other_frozen=ev["other_frozen"],
+                r=r,
+                k=ev["k"],
+                j_before=j,
+            )
+        )
+        newly = (ev["i"],) if ev["k"] == 1 else (ev["i"], ev["j"])
+        for v in newly:
+            active.remove(v)
+            frozen_radius[v] = r
+        j += ev["k"]
+        r_prev = max(r_prev, r)
+    log = growth.GrowthLog(genus=model.genus, model=model.name, events=events)
+    log.validate()
+    return log
+
+
+class OracleModel:
+    """Delegates to a model, counting or memoising its oracle calls."""
+
+    def __init__(self, inner, memo=False):
+        self.inner = inner
+        self.genus = inner.genus
+        self.name = inner.name
+        self.n_points = inner.n_points
+        self.memo = {} if memo else None
+        self.calls = {"loop_radius": 0, "pair_distance": 0}
+
+    def _ask(self, method, *args):
+        self.calls[method] += 1
+        if self.memo is None:
+            return getattr(self.inner, method)(*args)
+        key = (method,) + args
+        if key not in self.memo:
+            self.memo[key] = getattr(self.inner, method)(*args)
+        return self.memo[key]
+
+    def loop_radius(self, i):
+        return self._ask("loop_radius", i)
+
+    def pair_distance(self, i, j):
+        return self._ask("pair_distance", i, j)
+
+
+def outcome(run, model):
+    """Event fields with radii as exact hex strings, or the raised error."""
+    try:
+        log = run(model)
+    except (InvalidMetric, InputError) as e:
+        return (type(e).__name__, str(e))
+    return [
+        (ev.m, ev.kind, ev.i, ev.j, ev.other_frozen, ev.r.hex(), ev.k, ev.j_before)
+        for ev in log.events
+    ]
+
+
+def synthetic(distances, loop_radii, genus=2):
+    return hypmodel.load_synthetic(
+        {"genus": genus, "distances": distances, "loop_radii": loop_radii}
+    )
+
+
+def table(n, default, pairs):
+    dist = [[0.0 if a == b else default for b in range(n)] for a in range(n)]
+    for (a, b), d in pairs.items():
+        dist[a - 1][b - 1] = dist[b - 1][a - 1] = d
+    return dist
+
+
+TIE_MODELS = {
+    # loop radius of 1 equals half of d(1, 2): the pair event wins
+    "pair-before-self": synthetic(
+        table(6, 4.0, {(1, 2): 1.0}), [0.5, 9.0, 9.0, 9.0, 9.0, 9.0]
+    ),
+    # every distance equal: each event ties every pair, active or frozen,
+    # and the lexicographically first one wins
+    "equal-pairs": synthetic(table(6, 2.0, {}), [9.0] * 6),
+    # after (5, 6) freezes at 0.5, the frozen pair (3, 5) ties the active
+    # pair (1, 2) at 1.0, and (1, 2) is lexicographically first; the frozen
+    # pair (1, 5) then ties the active pair (3, 4) and wins
+    "frozen-vs-active": synthetic(
+        table(8, 6.0, {(5, 6): 1.0, (1, 2): 2.0, (3, 5): 1.5, (1, 5): 2.5, (3, 4): 3.0}),
+        [9.0] * 8,
+        genus=3,
+    ),
+    # a relative gap of 5e-10 is a tie: the larger radius of pair (1, 2)
+    # is recorded, not the smaller one of pair (3, 4)
+    "near-tie": synthetic(
+        table(6, 4.0, {(1, 2): 2.0 * (1.0 + 5e-10), (3, 4): 2.0}), [9.0] * 6
+    ),
+    "self-touches": forced_selftouch_model(),
+}
+
+
+@pytest.mark.parametrize("g", range(2, 41))
+def test_simulate_matches_rescan_regular(g):
+    m = hypmodel.regular_model(g)
+    # memoising the reference's oracle changes no value, only its speed
+    assert outcome(growth.simulate, m) == outcome(
+        rescan_simulate, OracleModel(m, memo=True)
+    )
+
+
+@pytest.mark.parametrize("name", sorted(TIE_MODELS))
+def test_simulate_matches_rescan_on_ties(name):
+    m = TIE_MODELS[name]
+    expected = outcome(rescan_simulate, m)
+    assert isinstance(expected, list)
+    assert outcome(growth.simulate, m) == expected
+
+
+def test_tie_models_exercise_the_tie_rule():
+    def pairs(name):
+        return [(ev.i, ev.j, ev.other_frozen) for ev in growth.simulate(TIE_MODELS[name]).events]
+
+    assert pairs("pair-before-self")[0] == (1, 2, False)
+    assert pairs("equal-pairs") == [(1, 2, False)] + [(v, 1, True) for v in range(3, 7)]
+    assert pairs("frozen-vs-active")[:3] == [(5, 6, False), (1, 2, False), (3, 5, True)]
+    near = growth.simulate(TIE_MODELS["near-tie"]).events[0]
+    assert (near.i, near.j, near.r) == (1, 2, 1.0 + 5e-10)
+
+
+def test_simulate_matches_rescan_on_quantised_tables():
+    """Tables drawn from a few values, so ties and metric errors are common."""
+    import random
+
+    rng = random.Random(7)
+    for _ in range(300):
+        g = rng.choice((2, 3, 4))
+        n = 2 * g + 2
+        pairs = {
+            (a, b): rng.choice((1.0, 1.5, 2.0, 3.0))
+            for a in range(1, n + 1)
+            for b in range(a + 1, n + 1)
+        }
+        radii = [rng.choice((0.5, 0.75, 1.0, 5.0)) for _ in range(n)]
+        m = synthetic(table(n, 1.0, pairs), radii, genus=g)
+        assert outcome(growth.simulate, m) == outcome(rescan_simulate, m)
+
+
+@pytest.mark.parametrize(
+    "inner", [hypmodel.regular_model(7), TIE_MODELS["frozen-vs-active"]]
+)
+def test_simulate_reads_each_oracle_value_once(inner):
+    m = OracleModel(inner)
+    growth.simulate(m)
+    n = inner.n_points
+    assert m.calls == {"loop_radius": n, "pair_distance": n * (n - 1) // 2}
+
+
+@pytest.mark.parametrize(
+    "method, value, message",
+    [
+        ("loop_radius", math.nan, "loop radius of vertex 1 is nan"),
+        ("pair_distance", math.inf, "distance between 1 and 2 is inf"),
+    ],
+)
+def test_nonfinite_oracle_value_is_invalid_metric(method, value, message):
+    m = OracleModel(hypmodel.regular_model(2))
+    setattr(m, method, lambda *args: value)
+    with pytest.raises(InvalidMetric, match=message):
+        growth.simulate(m)
