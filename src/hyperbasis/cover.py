@@ -3,7 +3,10 @@
 Given an arrangement and a designated arc system H, the sphere is first
 refined into one connected cell complex: scaffold edges chain the pieces
 of every region together, and extra chords are inserted until the
-complex stays connected after removing H's arcs.  A branch-cut set B is
+complex stays connected after removing H's arcs.  The complex is a
+``spheremap.RotationSystem``; the chords come from a single pass over a
+queue of faces ordered by smallest dart, with one union-find that only
+ever merges.  A branch-cut set B is
 then chosen inside the non-H edges with odd degree exactly at the cone
 vertices (a T-join), so that a walk crossing B an odd number of times
 encircles an odd number of cone points.
@@ -23,11 +26,12 @@ loops become figure eights) are validated on every construction.
 
 from __future__ import annotations
 
+import heapq
 import json
 from dataclasses import dataclass, field
 
-from .errors import ConstructionError, EmbeddingError, InputError
-from .spheremap import SphereMap, _orbits, _UnionFind
+from .errors import ConstructionError, InputError
+from .spheremap import RotationSystem, SphereMap, _UnionFind
 
 __all__ = [
     "MasterComplex",
@@ -47,7 +51,7 @@ class _Edge:
     arc_id: int | None       # None for scaffold edges
 
 
-class MasterComplex:
+class MasterComplex(RotationSystem):
     """Connected genus-zero refinement of a sphere arrangement.
 
     Carries the original arcs plus scaffold edges, the branch-cut set B,
@@ -60,10 +64,8 @@ class MasterComplex:
         for aid in self.subgraph:
             if aid not in smap.arcs:
                 raise InputError(f"unknown arc id {aid}")
-        self.rotations = {v: list(r) for v, r in smap.rotations.items()}
+        super().__init__(smap.rotations)
         self.alpha = dict(smap.alpha)
-        self.dart_vertex = dict(smap.dart_vertex)
-        self._next_dart = max(self.dart_vertex, default=-1) + 1
         self.edges: list[_Edge] = []
         self.edge_of_dart: dict[int, int] = {}
         self.edge_of_arc: dict[int, int] = {}
@@ -85,36 +87,6 @@ class MasterComplex:
         if arc_id is not None:
             self.edge_of_arc[arc_id] = e.idx
         return e.idx
-
-    def _sigma(self) -> dict[int, int]:
-        sg = {}
-        for v, rot in self.rotations.items():
-            for i, d in enumerate(rot):
-                sg[d] = rot[(i + 1) % len(rot)]
-        return sg
-
-    def _faces(self) -> list[tuple[int, ...]]:
-        sg = self._sigma()
-        return _orbits({d: sg[self.alpha[d]] for d in self.alpha})
-
-    def _insert_edge(self, u: int, du: int | None, w: int, dw: int | None) -> tuple[int, int]:
-        """New scaffold edge from the corner after dart ``du`` at ``u`` to
-        the corner after ``dw`` at ``w`` (None for a bare vertex)."""
-        p, q = self._next_dart, self._next_dart + 1
-        self._next_dart += 2
-        for vertex, handle, dart in ((u, du, p), (w, dw, q)):
-            rot = self.rotations[vertex]
-            if handle is None:
-                if rot:
-                    raise ConstructionError(f"vertex {vertex} is not bare")
-                rot.append(dart)
-            else:
-                rot.insert(rot.index(handle) + 1, dart)
-            self.dart_vertex[dart] = vertex
-        self.alpha[p] = q
-        self.alpha[q] = p
-        self._register_edge((p, q), None)
-        return p, q
 
     # -- scaffolding ----------------------------------------------------
 
@@ -140,51 +112,56 @@ class MasterComplex:
             for i in range(len(anchors) - 1):
                 u, du = anchors[i]
                 w, dw = anchors[i + 1]
-                p, q = self._insert_edge(u, du, w, dw)
+                p, q = self._insert_arc(u, du, w, dw)
+                self._register_edge((p, q), None)
                 # subsequent hops leave from the dart just planted
                 anchors[i + 1] = (w, q)
-
-    def _kdoubleprime_uf(self) -> _UnionFind:
-        uf = _UnionFind(self.rotations)
-        for e in self.edges:
-            if e.arc_id in self.subgraph:
-                continue
-            uf.union(self.dart_vertex[e.darts[0]], self.dart_vertex[e.darts[1]])
-        return uf
 
     def _scaffold_connectivity(self) -> None:
         """Insert chords until the complex minus H's arcs is connected, so
         a T-join avoiding H exists.  Any face whose boundary meets two
-        components of the reduced complex admits such a chord."""
-        while True:
-            uf = self._kdoubleprime_uf()
-            roots = {uf.find(v) for v in self.rotations}
-            if len(roots) == 1:
-                return
-            inserted = False
-            for face in self._faces():
-                by_root: dict[int, int] = {}
-                for d in face:
-                    v = self.dart_vertex[d]
-                    r = uf.find(v)
-                    by_root[r] = min(by_root.get(r, v), v)
-                if len(by_root) >= 2:
-                    u, w = sorted(by_root.values())[:2]
-                    self._insert_edge(
-                        u, self._corner_handle(face, u),
-                        w, self._corner_handle(face, w),
-                    )
-                    inserted = True
-                    break
-            if not inserted:
+        components of the reduced complex admits such a chord.
+
+        Faces are tried in order of their smallest dart, and each chord
+        joins the two smallest component minima on the first face that
+        qualifies.  Components only merge, so a face passed over never
+        qualifies again; only the two faces a chord creates are queued,
+        the one keeping the split face's smallest dart coming next.
+        """
+        uf = _UnionFind(self.rotations)
+        for e in self.edges:
+            if e.arc_id not in self.subgraph:
+                uf.union(self.dart_vertex[e.darts[0]], self.dart_vertex[e.darts[1]])
+        n_components = len({uf.find(v) for v in self.rotations})
+        queue = [f[0] for f in self.face_orbits()]     # sorted, so a heap
+        while n_components > 1:
+            if not queue:
                 raise ConstructionError(
                     "no face joins two components of the reduced complex"
                 )
+            face = self.face(heapq.heappop(queue))
+            by_root: dict[int, int] = {}
+            for d in face:
+                v = self.dart_vertex[d]
+                r = uf.find(v)
+                by_root[r] = min(by_root.get(r, v), v)
+            if len(by_root) < 2:
+                continue
+            u, w = sorted(by_root.values())[:2]
+            p, q = self._insert_arc(
+                u, self._corner_handle(face, u),
+                w, self._corner_handle(face, w),
+            )
+            self._register_edge((p, q), None)
+            uf.union(u, w)
+            n_components -= 1
+            heapq.heappush(queue, min(self.face(p)))
+            heapq.heappush(queue, min(self.face(q)))
 
     def _check_euler(self) -> None:
         v = len(self.rotations)
         e = len(self.edges)
-        f = len(self._faces())
+        f = len(self.face_orbits())
         if v - e + f != 2:
             raise ConstructionError(
                 f"refined complex has Euler characteristic {v - e + f}"
@@ -243,6 +220,8 @@ class CoverComplex:
     vertex_of_lift: list[int] = field(default_factory=list)   # cover vertex id per dart lift
     edge_of_lift: list[int] = field(default_factory=list)     # cover edge id per dart lift
     face_of_lift: list[int] = field(default_factory=list)     # cover face id per dart lift
+    lift_of_vertex: list[int] = field(default_factory=list)   # smallest dart lift per cover vertex
+    lift_of_edge: list[int] = field(default_factory=list)     # smallest dart lift per cover edge
     n_vertices: int = 0
     n_edges: int = 0
     n_faces: int = 0
@@ -255,14 +234,10 @@ class CoverComplex:
 
     # -- derived structure -------------------------------------------
 
-    def deck_lift(self, dl: int) -> int:
-        return dl ^ 1
-
     def deck_vertex(self, cv: int) -> int:
-        for dl, v in enumerate(self.vertex_of_lift):
-            if v == cv:
-                return self.vertex_of_lift[dl ^ 1]
-        raise InputError(f"unknown cover vertex {cv}")
+        if not 0 <= cv < self.n_vertices:
+            raise InputError(f"unknown cover vertex {cv}")
+        return self.vertex_of_lift[self.lift_of_vertex[cv] ^ 1]
 
     def euler(self) -> int:
         return self.n_vertices - self.n_edges + self.n_faces
@@ -281,8 +256,9 @@ class CoverComplex:
         return all(seen)
 
     def edge_endpoints(self, ce: int) -> tuple[int, int]:
-        lifts = [dl for dl, e in enumerate(self.edge_of_lift) if e == ce]
-        return tuple(sorted(self.vertex_of_lift[dl] for dl in lifts))  # type: ignore
+        dl = self.lift_of_edge[ce]
+        a, b = self.vertex_of_lift[dl], self.vertex_of_lift[self.alpha_hat[dl]]
+        return (a, b) if a <= b else (b, a)
 
     def cover_edges_of_arc(self, arc_id: int) -> tuple[int, int]:
         d1, _ = self.master.smap.arcs[arc_id].darts
@@ -329,7 +305,7 @@ def build_cover(smap: SphereMap, subgraph) -> CoverComplex:
     cov.darts = darts
     cov.dart_index = {d: i for i, d in enumerate(darts)}
     n = len(darts)
-    sigma = master._sigma()
+    sigma = master.sigma
     beta = [master.beta(d) for d in darts]
 
     sigma_hat = [0] * (2 * n)
@@ -343,23 +319,27 @@ def build_cover(smap: SphereMap, subgraph) -> CoverComplex:
     cov.sigma_hat = sigma_hat
     cov.alpha_hat = alpha_hat
 
-    def orbit_ids(perm: list[int]) -> tuple[list[int], int]:
+    def orbit_ids(perm: list[int]) -> tuple[list[int], list[int]]:
+        """Orbit id per lift, and the smallest lift of every orbit."""
         ids = [-1] * len(perm)
-        count = 0
+        firsts = []
         for start in range(len(perm)):
             if ids[start] >= 0:
                 continue
             dl = start
             while ids[dl] < 0:
-                ids[dl] = count
+                ids[dl] = len(firsts)
                 dl = perm[dl]
-            count += 1
-        return ids, count
+            firsts.append(start)
+        return ids, firsts
 
-    cov.vertex_of_lift, cov.n_vertices = orbit_ids(sigma_hat)
-    cov.edge_of_lift, cov.n_edges = orbit_ids(alpha_hat)
+    cov.vertex_of_lift, cov.lift_of_vertex = orbit_ids(sigma_hat)
+    cov.edge_of_lift, cov.lift_of_edge = orbit_ids(alpha_hat)
     phat = [sigma_hat[alpha_hat[dl]] for dl in range(2 * n)]
-    cov.face_of_lift, cov.n_faces = orbit_ids(phat)
+    cov.face_of_lift, face_firsts = orbit_ids(phat)
+    cov.n_vertices = len(cov.lift_of_vertex)
+    cov.n_edges = len(cov.lift_of_edge)
+    cov.n_faces = len(face_firsts)
 
     cov.base_vertex = [0] * cov.n_vertices
     for dl in range(2 * n):
@@ -454,7 +434,7 @@ def winding_parity(cov: CoverComplex, crossings) -> int:
         if not 0 <= e < len(cov.master.edges):
             raise InputError(f"unknown master edge {e}")
     if walk:
-        faces = cov.master._faces()
+        faces = cov.master.face_orbits()
         face_of = {d: i for i, f in enumerate(faces) for d in f}
         sides = [
             {face_of[d] for d in cov.master.edges[e].darts} for e in walk

@@ -248,10 +248,9 @@ class SyntheticModel(MetricModel):
     def __init__(self, data: dict, name: str = "synthetic"):
         if not isinstance(data, dict):
             raise InputError("synthetic model must be a JSON object")
-        try:
-            g = int(data["genus"])
-        except (KeyError, TypeError, ValueError) as e:
-            raise InputError(f"bad genus field: {e}") from e
+        g = data.get("genus")
+        if not isinstance(g, int) or isinstance(g, bool):
+            raise InputError(f"genus must be an integer, got {g!r}")
         if g < 2:
             raise InputError(f"genus must be >= 2, got {g}")
         self.genus = g

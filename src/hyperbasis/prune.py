@@ -32,9 +32,11 @@ from dataclasses import dataclass, field
 from . import bounds, cover
 from .errors import GeometricAssumptionViolated, InputError, VerificationFailure
 from .spheremap import (
+    Component,
     ComponentKind,
     SphereMap,
     classify_arcs,
+    components,
     region_admits_odd_curve,
     region_tree,
 )
@@ -75,54 +77,21 @@ class PruneResult:
         return math.ceil((2 * self.genus + 2 - self.input_isolated) / 3)
 
 
-@dataclass
-class _Comp:
-    key: int
-    vertices: tuple[int, ...]
-    arcs: tuple[int, ...]
-    loops: tuple[int, ...]
-    edges: tuple[int, ...]
-
-
-def _components(smap: SphereMap, arc_ids) -> list[_Comp]:
-    kinds = classify_arcs(smap, arc_ids)
-    if any(k is ComponentKind.INVALID for k in kinds.values()):
-        raise InputError("graph has a component outside the growth shapes")
-    from .spheremap import _UnionFind
-
-    uf = _UnionFind(smap.rotations)
-    for a in arc_ids:
-        arc = smap.arcs[a]
-        uf.union(arc.u, arc.v)
-    groups: dict[int, list[int]] = {}
-    for v in smap.rotations:
-        groups.setdefault(uf.find(v), []).append(v)
-    arcs_of: dict[int, list[int]] = {r: [] for r in groups}
-    for a in arc_ids:
-        arcs_of[uf.find(smap.arcs[a].u)].append(a)
-    out = []
-    for r, vs in groups.items():
-        arcs_ = sorted(arcs_of[r])
-        out.append(
-            _Comp(
-                key=min(vs),
-                vertices=tuple(sorted(vs)),
-                arcs=tuple(arcs_),
-                loops=tuple(a for a in arcs_ if smap.arcs[a].kind == "loop"),
-                edges=tuple(a for a in arcs_ if smap.arcs[a].kind == "edge"),
-            )
-        )
-    return sorted(out, key=lambda c: c.key)
-
-
 def preliminary_steps(smap: SphereMap):
     """Drop loops of looped trees, then one leaf edge per big tree.
 
     Returns (reduced map, paired blocks, deleted arc ids, trace).
+
+    Every subgraph of a graph of growth shapes has growth-shaped
+    components again, so the shapes are checked once, on the input; the
+    maps derived from it reuse their own ``components``.
     """
+    kinds = classify_arcs(smap, smap.arcs)
+    if any(k is ComponentKind.INVALID for k in kinds.values()):
+        raise InputError("graph has a component outside the growth shapes")
     trace: list[dict] = []
     deleted: list[int] = []
-    for comp in _components(smap, smap.arcs):
+    for comp in smap.components:
         if comp.loops and comp.edges:
             deleted.append(comp.loops[0])
             trace.append(
@@ -131,7 +100,7 @@ def preliminary_steps(smap: SphereMap):
     work = smap.without_arcs(set(deleted)) if deleted else smap
     blocks: list[Block] = []
     second: list[int] = []
-    for comp in _components(work, work.arcs):
+    for comp in work.components:
         if len(comp.edges) < 2:
             continue
         degree = {v: 0 for v in comp.vertices}
@@ -170,7 +139,7 @@ class _Region:
     inner: set[int] = field(default_factory=set)      # inner boundary loop arcs
     outer: int | None = None                          # outer boundary loop arc
     isolated: set[int] = field(default_factory=set)
-    free_bones: dict[int, _Comp] = field(default_factory=dict)
+    free_bones: dict[int, Component] = field(default_factory=dict)
 
     def sort_key(self, smap: SphereMap) -> tuple:
         loops = self.inner | ({self.outer} if self.outer is not None else set())
@@ -189,8 +158,7 @@ def prune(smap: SphereMap) -> PruneResult:
     paired_keys = {min(b.vertices) for b in blocks if b.arcs}
 
     tree = region_tree(work, set(work.arcs))
-    comps = _components(work, work.arcs)
-    comp_by_key = {c.key: c for c in comps}
+    comp_by_key = {c.key: c for c in work.components}
     # region state from the fresh region tree
     regions: dict[int, _Region] = {}
     for nid, node in tree.nodes.items():
@@ -341,7 +309,7 @@ def prune(smap: SphereMap) -> PruneResult:
 
     # leftover free components become singleton blocks
     in_blocks = {a for b in blocks for a in b.arcs}
-    for comp in _components(work, alive):
+    for comp in components(work, alive):
         extra = [a for a in comp.arcs if a in alive and a not in in_blocks]
         if not extra:
             continue

@@ -7,6 +7,14 @@ the two faces along an arc are the orbits of its two darts, and the
 corner swept counterclockwise from dart ``d`` to its rotation successor
 lies in the face orbit containing sigma(d).
 
+``RotationSystem`` holds these permutations once for every layer that
+walks them: the validated ``SphereMap``, the growth-order ``MapBuilder``
+and the cover's ``MasterComplex`` all derive from it.  Its one arc
+insertion keeps sigma up to date, ``face`` walks a single face, and
+``face_orbits`` lists them all.  ``components`` is the one connected
+component pass over a subgraph; the map's own components and the
+component kinds come from it.
+
 Rotation systems determine the embedding of each connected component,
 but not how separate components nest inside one another's faces, so a
 map additionally carries a region partition: the per-component faces
@@ -28,9 +36,11 @@ __all__ = [
     "ComponentKind",
     "Arc",
     "Component",
+    "RotationSystem",
     "SphereMap",
     "MapBuilder",
     "from_json",
+    "components",
     "classify_components",
     "classify_arcs",
     "RegionNode",
@@ -72,6 +82,21 @@ class Component:
     key: int                      # smallest vertex id
     vertices: tuple[int, ...]
     arcs: tuple[int, ...]
+    loops: tuple[int, ...]
+    edges: tuple[int, ...]
+
+    @property
+    def kind(self) -> ComponentKind:
+        nl, ne, nv = len(self.loops), len(self.edges), len(self.vertices)
+        if nl == 0 and ne == 0:
+            return ComponentKind.ISOLATED_VERTEX
+        if nl == 1 and ne == 0 and nv == 1:
+            return ComponentKind.LOOP
+        if nl == 0 and ne == nv - 1:
+            return ComponentKind.TREE
+        if nl == 1 and ne == nv - 1 and ne >= 1:
+            return ComponentKind.LOOPED_TREE
+        return ComponentKind.INVALID
 
 
 class _UnionFind:
@@ -104,7 +129,8 @@ class _UnionFind:
 
 def _orbits(perm: dict[int, int]) -> list[tuple[int, ...]]:
     """Cycles of a permutation given as a dict, each starting at its
-    smallest element, sorted by that element."""
+    smallest element, sorted by that element.  A scan in sorted order
+    meets every cycle first at its smallest element."""
     seen = set()
     cycles = []
     for start in sorted(perm):
@@ -117,13 +143,99 @@ def _orbits(perm: dict[int, int]) -> list[tuple[int, ...]]:
             cyc.append(d)
             seen.add(d)
             d = perm[d]
-        m = cyc.index(min(cyc))
-        cycles.append(tuple(cyc[m:] + cyc[:m]))
-    cycles.sort(key=lambda c: c[0])
+        cycles.append(tuple(cyc))
     return cycles
 
 
-class SphereMap:
+class RotationSystem:
+    """Darts around vertices: ``rotations`` lists each vertex's darts
+    counterclockwise, ``sigma`` maps a dart to its rotation successor,
+    ``alpha`` swaps the two darts of an arc, and ``dart_vertex`` names
+    each dart's vertex.  Faces are the orbits of sigma o alpha.
+
+    The rotation lists are copied; ``alpha`` starts empty.
+    """
+
+    def __init__(self, rotations: dict[int, list[int]]):
+        self.rotations = {v: list(r) for v, r in rotations.items()}
+        self.sigma: dict[int, int] = {}
+        self.dart_vertex: dict[int, int] = {}
+        for v, rot in self.rotations.items():
+            for i, d in enumerate(rot):
+                if d in self.dart_vertex:
+                    raise EmbeddingError(f"dart {d} listed twice in rotations")
+                self.dart_vertex[d] = v
+                self.sigma[d] = rot[(i + 1) % len(rot)]
+        self.alpha: dict[int, int] = {}
+        self._next_dart = max(self.dart_vertex, default=-1) + 1
+
+    def _insert_arc(self, u: int, du: int | None, w: int, dw: int | None) -> tuple[int, int]:
+        """New arc with fresh darts p < q: p goes into the corner after
+        dart ``du`` at ``u``, q into the corner after ``dw`` at ``w``.  A
+        handle of None puts the dart after the vertex's last dart, which
+        at a bare vertex is its only place."""
+        p, q = self._next_dart, self._next_dart + 1
+        self._next_dart += 2
+        for vertex, handle, dart in ((u, du, p), (w, dw, q)):
+            rot = self.rotations[vertex]
+            pos = len(rot) if handle is None else rot.index(handle) + 1
+            rot.insert(pos, dart)
+            prev = rot[pos - 1]        # the dart itself at a bare vertex
+            self.sigma[dart] = self.sigma.get(prev, dart)
+            self.sigma[prev] = dart
+            self.dart_vertex[dart] = vertex
+        self.alpha[p] = q
+        self.alpha[q] = p
+        return p, q
+
+    def face(self, d: int) -> list[int]:
+        """Darts of the face orbit through ``d``, starting at ``d``."""
+        sigma, alpha = self.sigma, self.alpha
+        out = [d]
+        x = sigma[alpha[d]]
+        while x != d:
+            out.append(x)
+            x = sigma[alpha[x]]
+        return out
+
+    def face_orbits(self) -> list[tuple[int, ...]]:
+        """Every face, starting at its smallest dart, sorted by it."""
+        sigma, alpha = self.sigma, self.alpha
+        return _orbits({d: sigma[alpha[d]] for d in alpha})
+
+
+def components(smap: "SphereMap", arc_ids) -> list[Component]:
+    """Connected components of the subgraph on the given arcs, every map
+    vertex included, ordered by smallest vertex id."""
+    arcs = smap.arcs
+    arc_ids = sorted(set(arc_ids))
+    uf = _UnionFind(smap.rotations)
+    for aid in arc_ids:
+        a = arcs[aid]
+        uf.union(a.u, a.v)
+    groups = uf.classes()
+    loops: dict[int, list[int]] = {r: [] for r in groups}
+    edges: dict[int, list[int]] = {r: [] for r in groups}
+    for aid in arc_ids:
+        a = arcs[aid]
+        (loops if a.kind == "loop" else edges)[uf.find(a.u)].append(aid)
+    out = []
+    for r, vs in groups.items():
+        vertices = tuple(sorted(vs))
+        out.append(
+            Component(
+                key=vertices[0],
+                vertices=vertices,
+                arcs=tuple(sorted(loops[r] + edges[r])),
+                loops=tuple(loops[r]),
+                edges=tuple(edges[r]),
+            )
+        )
+    out.sort(key=lambda c: c.key)
+    return out
+
+
+class SphereMap(RotationSystem):
     """Immutable validated sphere arrangement of arcs on cone vertices."""
 
     def __init__(
@@ -134,10 +246,10 @@ class SphereMap:
         genus: int | None = None,
         regions: list[dict] | None = None,
     ):
-        self.rotations = {v: list(r) for v, r in rotations.items()}
+        super().__init__(rotations)
         self.arcs = dict(arcs)
         self.cone = dict(cone)
-        self._build_permutations()
+        self._pair_darts()
         self._build_faces()
         self._build_components()
         self.n_cone = sum(1 for v in self.cone if self.cone[v])
@@ -155,16 +267,7 @@ class SphereMap:
 
     # -- construction ------------------------------------------------
 
-    def _build_permutations(self) -> None:
-        self.sigma: dict[int, int] = {}
-        self.dart_vertex: dict[int, int] = {}
-        for v, rot in self.rotations.items():
-            for i, d in enumerate(rot):
-                if d in self.dart_vertex:
-                    raise EmbeddingError(f"dart {d} listed twice in rotations")
-                self.dart_vertex[d] = v
-                self.sigma[d] = rot[(i + 1) % len(rot)]
-        self.alpha: dict[int, int] = {}
+    def _pair_darts(self) -> None:
         for a in self.arcs.values():
             d1, d2 = a.darts
             if d1 == d2:
@@ -185,29 +288,11 @@ class SphereMap:
         self.isolated = {v for v, rot in self.rotations.items() if not rot}
 
     def _build_faces(self) -> None:
-        phi = {d: self.sigma[self.alpha[d]] for d in self.alpha}
-        self.faces = _orbits(phi)
+        self.faces = self.face_orbits()
         self.face_of = {d: i for i, f in enumerate(self.faces) for d in f}
 
     def _build_components(self) -> None:
-        uf = _UnionFind(self.rotations)
-        for a in self.arcs.values():
-            uf.union(a.u, a.v)
-        groups = uf.classes()
-        comp_arcs: dict[int, list[int]] = {r: [] for r in groups}
-        for a in self.arcs.values():
-            comp_arcs[uf.find(a.u)].append(a.id)
-        self.components = sorted(
-            (
-                Component(
-                    key=min(vs),
-                    vertices=tuple(sorted(vs)),
-                    arcs=tuple(sorted(comp_arcs[r])),
-                )
-                for r, vs in groups.items()
-            ),
-            key=lambda c: c.key,
-        )
+        self.components = components(self, self.arcs)
         self.component_of = {
             v: c.key for c in self.components for v in c.vertices
         }
@@ -300,16 +385,6 @@ class SphereMap:
 
     # -- queries -----------------------------------------------------
 
-    @property
-    def vertex_ids(self) -> list[int]:
-        return sorted(self.rotations)
-
-    def arc_ids(self) -> list[int]:
-        return sorted(self.arcs)
-
-    def degree(self, v: int) -> int:
-        return len(self.rotations[v])
-
     def side_regions(self, arc_id: int) -> tuple[int, int]:
         """Regions on the two sides of an arc (region of each dart's face)."""
         a = self.arcs[arc_id]
@@ -355,10 +430,10 @@ class SphereMap:
         new_idx = {root: i for i, root in enumerate(classes)}
         groups: list[dict] = [{"faces": [], "isolated": []} for _ in classes]
         sub = SphereMap.__new__(SphereMap)
-        sub.rotations = rotations
+        RotationSystem.__init__(sub, rotations)
         sub.arcs = kept_arcs
         sub.cone = dict(self.cone)
-        sub._build_permutations()
+        sub._pair_darts()
         sub._build_faces()
         sub._build_components()
         sub.n_cone = self.n_cone
@@ -422,16 +497,27 @@ def from_json(data) -> SphereMap:
         for v in data["vertices"]:
             rotations[int(v["id"])] = [int(d) for d in v["rotation"]]
             cone[int(v["id"])] = bool(v.get("cone", True))
-        arcs = {}
-        for a in data["arcs"]:
-            d1, d2 = (int(x) for x in a["darts"])
-            u = next(v for v, rot in rotations.items() if d1 in rot)
-            w = next(v for v, rot in rotations.items() if d2 in rot)
-            aid = int(a["id"])
-            arcs[aid] = Arc(id=aid, kind=str(a["kind"]), u=u, v=w, darts=(d1, d2))
-    except (KeyError, TypeError, ValueError, StopIteration) as e:
+        owner = {d: v for v, rot in rotations.items() for d in rot}
+        entries = [
+            (int(a["id"]), a["kind"], tuple(int(x) for x in a["darts"]))
+            for a in data["arcs"]
+        ]
+    except (KeyError, TypeError, ValueError) as e:
         raise InputError(f"malformed map description: {e}") from e
+    arcs = {}
+    for aid, kind, darts in entries:
+        if kind not in ("edge", "loop"):
+            raise InputError(f"arc {aid}: kind must be edge or loop, got {kind!r}")
+        if len(darts) != 2:
+            raise InputError(f"arc {aid}: darts must list two darts")
+        for d in darts:
+            if d not in owner:
+                raise InputError(f"arc {aid} uses unknown dart {d}")
+        u, w = (owner[d] for d in darts)
+        arcs[aid] = Arc(id=aid, kind=kind, u=u, v=w, darts=darts)
     regions = data.get("regions")
+    if regions is not None:
+        _check_regions(regions)
     return SphereMap(
         rotations,
         arcs,
@@ -441,50 +527,37 @@ def from_json(data) -> SphereMap:
     )
 
 
+def _check_regions(regions) -> None:
+    """Regions are objects whose ``faces`` and ``isolated`` fields are
+    lists of integers."""
+    if not isinstance(regions, list):
+        raise InputError(f"regions must be a list, got {regions!r}")
+    for i, r in enumerate(regions):
+        if not isinstance(r, dict):
+            raise InputError(f"regions[{i}] must be an object, got {r!r}")
+        for key in ("faces", "isolated"):
+            items = r.get(key, [])
+            if not isinstance(items, list):
+                raise InputError(f"regions[{i}].{key} must be a list, got {items!r}")
+            for x in items:
+                if not isinstance(x, int) or isinstance(x, bool):
+                    raise InputError(
+                        f"regions[{i}].{key} must hold integers, got {x!r}"
+                    )
+
+
 # -- component classification ----------------------------------------
 
 
 def classify_arcs(smap: SphereMap, arc_ids) -> dict[int, ComponentKind]:
     """Kind of every connected component of the subgraph on the given arcs,
     keyed by smallest vertex id (all map vertices participate)."""
-    arc_ids = set(arc_ids)
-    uf = _UnionFind(smap.rotations)
-    for aid in arc_ids:
-        a = smap.arcs[aid]
-        uf.union(a.u, a.v)
-    loops: dict[int, int] = {}
-    edges: dict[int, int] = {}
-    for aid in arc_ids:
-        a = smap.arcs[aid]
-        root = uf.find(a.u)
-        if a.kind == "loop":
-            loops[root] = loops.get(root, 0) + 1
-        else:
-            edges[root] = edges.get(root, 0) + 1
-    out = {}
-    for root, vs in uf.classes().items():
-        key = min(vs)
-        nl = loops.get(root, 0)
-        ne = edges.get(root, 0)
-        nv = len(vs)
-        if nl == 0 and ne == 0:
-            kind = ComponentKind.ISOLATED_VERTEX
-        elif nl == 1 and ne == 0 and nv == 1:
-            kind = ComponentKind.LOOP
-        elif nl == 0 and ne == nv - 1:
-            kind = ComponentKind.TREE
-        elif nl == 1 and ne == nv - 1 and ne >= 1:
-            kind = ComponentKind.LOOPED_TREE
-        else:
-            kind = ComponentKind.INVALID
-        out[key] = kind
-    return out
+    return {c.key: c.kind for c in components(smap, arc_ids)}
 
 
 def classify_components(smap: SphereMap) -> list[ComponentKind]:
     """Kinds of the map's own components, ordered by smallest vertex id."""
-    kinds = classify_arcs(smap, smap.arcs)
-    return [kinds[k] for k in sorted(kinds)]
+    return [c.kind for c in smap.components]
 
 
 # -- regions of the sphere minus the loop arcs of a subgraph ---------
@@ -580,13 +653,6 @@ class RegionTree:
         for mu, (x, y) in self.loop_sides.items():
             if mu != lam and x in far and y in far:
                 count += 1
-        # bases of loops between two far nodes counted above; bases of loops
-        # bordering the cut loop's far node from inside the far half:
-        for mu, (x, y) in self.loop_sides.items():
-            if mu == lam:
-                continue
-            if (x in far) != (y in far):
-                raise EmbeddingError("region tree split is inconsistent")
         return count
 
 
@@ -746,7 +812,7 @@ def is_nonseparating(smap: SphereMap, subgraph) -> bool:
 # -- incremental construction in growth order ------------------------
 
 
-class MapBuilder:
+class MapBuilder(RotationSystem):
     """Builds an embedded arc arrangement the way disk growth creates it:
     every inserted arc has at least one endpoint that is still bare.
 
@@ -755,16 +821,13 @@ class MapBuilder:
     """
 
     def __init__(self, vertex_ids, cone: dict[int, bool] | None = None):
-        self.rotations: dict[int, list[int]] = {int(v): [] for v in vertex_ids}
+        super().__init__({int(v): [] for v in vertex_ids})
         if len(self.rotations) < 2:
             raise InputError("need at least two vertices")
         self.cone = {v: True for v in self.rotations}
         if cone:
             self.cone.update(cone)
-        self.alpha: dict[int, int] = {}
-        self.dart_vertex: dict[int, int] = {}
         self.arcs: dict[int, Arc] = {}
-        self._next_dart = 0
         # region -> {"faces": set of face keys, "isolated": set of vertices}
         self._regions: list[dict] = [
             {"faces": set(), "isolated": set(self.rotations)}
@@ -772,31 +835,12 @@ class MapBuilder:
         self._face_region: dict[int, int] = {}
         self._comp_uf = _UnionFind(self.rotations)
 
-    # face keys are the minimum dart of each sigma-alpha orbit
-    def _faces(self) -> list[tuple[int, ...]]:
-        sigma = {}
-        for v, rot in self.rotations.items():
-            for i, d in enumerate(rot):
-                sigma[d] = rot[(i + 1) % len(rot)]
-        phi = {d: sigma[self.alpha[d]] for d in self.alpha}
-        return _orbits(phi)
-
-    def _face_key_of_dart(self, d: int) -> int:
-        for f in self._faces():
-            if d in f:
-                return f[0]
-        raise EmbeddingError(f"dart {d} not on any face")
-
     def _corner_face_key(self, v: int, pos: int) -> int:
-        """Face key of the corner after rotation position ``pos`` at ``v``,
-        which is the face orbit containing the successor dart."""
+        """Face key (smallest dart) of the corner after rotation position
+        ``pos`` at ``v``, which is the face orbit containing the successor
+        dart."""
         rot = self.rotations[v]
-        return self._face_key_of_dart(rot[(pos + 1) % len(rot)])
-
-    def _new_darts(self) -> tuple[int, int]:
-        p, q = self._next_dart, self._next_dart + 1
-        self._next_dart += 2
-        return p, q
+        return min(self.face(rot[(pos + 1) % len(rot)]))
 
     def region_of_vertex(self, v: int) -> int:
         """Region of a currently isolated vertex."""
@@ -820,11 +864,9 @@ class MapBuilder:
         for a component the set includes everything nested behind its
         face, so enclosing the item means enclosing all of it.
         """
-        faces = self._faces()
-        face_keys = {f[0] for f in faces}
-        region_of_face = dict(self._face_region)
+        region_of_face = self._face_region
         comp_of_face = {
-            fk: self._comp_uf.find(self.dart_vertex[fk]) for fk in face_keys
+            fk: self._comp_uf.find(self.dart_vertex[fk]) for fk in region_of_face
         }
         comp_faces: dict[int, list[int]] = {}
         for fk, c in comp_of_face.items():
@@ -867,13 +909,7 @@ class MapBuilder:
             raise EmbeddingError(f"vertices {u} and {w} lie in different regions")
         if u == w:
             raise EmbeddingError("a bone needs distinct endpoints")
-        p, q = self._new_darts()
-        self.rotations[u] = [p]
-        self.rotations[w] = [q]
-        self.alpha[p] = q
-        self.alpha[q] = p
-        self.dart_vertex[p] = u
-        self.dart_vertex[q] = w
+        p, q = self._insert_arc(u, None, w, None)
         self._register(arc_id, "edge", u, w, (p, q))
         region = self._regions[ru]
         region["isolated"] -= {u, w}
@@ -896,13 +932,7 @@ class MapBuilder:
             raise EmbeddingError(
                 f"vertex {fresh} is not in the region behind that corner"
             )
-        p, q = self._new_darts()
-        self.rotations[host].insert(at + 1, p)
-        self.rotations[fresh] = [q]
-        self.alpha[p] = q
-        self.alpha[q] = p
-        self.dart_vertex[p] = host
-        self.dart_vertex[q] = fresh
+        p, q = self._insert_arc(host, self.rotations[host][at], fresh, None)
         self._register(arc_id, "edge", host, fresh, (p, q))
         self._regions[region]["isolated"].discard(fresh)
         self._comp_uf.union(host, fresh)
@@ -938,12 +968,7 @@ class MapBuilder:
             raise EmbeddingError(
                 f"vertices {sorted(enclosed - covered)} are not in this region"
             )
-        p, q = self._new_darts()
-        self.rotations[v] = [p, q]
-        self.alpha[p] = q
-        self.alpha[q] = p
-        self.dart_vertex[p] = v
-        self.dart_vertex[q] = v
+        p, q = self._insert_arc(v, None, v, None)     # rotation [p, q]
         self._register(arc_id, "loop", v, v, (p, q))
         outer = self._regions[region]
         outer["isolated"].discard(v)

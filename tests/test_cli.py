@@ -235,3 +235,48 @@ def test_arcs_not_a_list_exits_2(tmp_path, capsys):
     code, _, err = run_model(genus2_model(arcs={"kind": "loop"}), tmp_path, capsys)
     assert code == 2
     assert "arcs must be a list" in err
+
+
+@pytest.mark.parametrize(
+    "genus, message",
+    [
+        (2.7, "genus must be an integer, got 2.7"),
+        ("2", "genus must be an integer, got '2'"),
+        (2.0, "genus must be an integer, got 2.0"),
+        (True, "genus must be an integer, got True"),
+        (None, "genus must be an integer, got None"),
+    ],
+)
+def test_non_integer_model_genus_exits_2(genus, message, tmp_path, capsys):
+    code, _, err = run_model(genus2_model(genus=genus), tmp_path, capsys)
+    assert code == 2
+    assert message in err
+
+
+def block4_with(mutate):
+    data = families.block_family(4).to_dict()
+    mutate(data)
+    return data
+
+
+@pytest.mark.parametrize(
+    "mutate, message",
+    [
+        (lambda d: d.update(regions=5), "regions must be a list, got 5"),
+        (lambda d: d.update(regions=[5]), "regions[0] must be an object, got 5"),
+        (lambda d: d["regions"][0].update(faces=5), "regions[0].faces must be a list, got 5"),
+        (lambda d: d["regions"][1].update(isolated="7"), "regions[1].isolated must be a list, got '7'"),
+        (lambda d: d["regions"][0].update(faces=[[0]]), "regions[0].faces must hold integers, got [0]"),
+        (lambda d: d["regions"][0].update(isolated=[None]), "regions[0].isolated must hold integers, got None"),
+        (lambda d: d["arcs"][2].update(kind="foo"), "arc 3: kind must be edge or loop, got 'foo'"),
+        (lambda d: d["arcs"][0].update(kind=None), "arc 1: kind must be edge or loop, got None"),
+        (lambda d: d["arcs"][1].update(darts=[2, 99]), "arc 2 uses unknown dart 99"),
+        (lambda d: d["arcs"][1].update(darts=[2]), "arc 2: darts must list two darts"),
+    ],
+)
+def test_malformed_map_exits_2(mutate, message, tmp_path, capsys):
+    path = tmp_path / "map.json"
+    path.write_text(json.dumps(block4_with(mutate)))
+    code, _, err = run(["prune", "--map", str(path)], capsys)
+    assert code == 2
+    assert message in err

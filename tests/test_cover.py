@@ -189,3 +189,108 @@ def test_debug_dump_roundtrips_json():
     data = json.loads(cov.to_debug_json())
     assert data["euler"] == -2
     assert data["n_vertices"] - data["n_edges"] + data["n_faces"] == -2
+
+
+# -- differential references ---------------------------------------------
+
+
+def rotation_faces(rotations, alpha):
+    """Face orbits recomputed from the rotation lists alone, each
+    starting at its smallest dart, sorted by it."""
+    sigma = {}
+    for rot in rotations.values():
+        for i, d in enumerate(rot):
+            sigma[d] = rot[(i + 1) % len(rot)]
+    seen, faces = set(), []
+    for start in sorted(alpha):
+        if start not in seen:
+            face, d = [], start
+            while d not in seen:
+                seen.add(d)
+                face.append(d)
+                d = sigma[alpha[d]]
+            faces.append(tuple(face))
+    return sigma, faces
+
+
+class RestartMaster(cover.MasterComplex):
+    """Scaffold chords by the restart loop: after every chord, rebuild the
+    union-find of the complex minus H and every face, and take the first
+    face, by smallest dart, that meets two components."""
+
+    def _scaffold_connectivity(self):
+        while True:
+            uf = sm._UnionFind(self.rotations)
+            for e in self.edges:
+                if e.arc_id not in self.subgraph:
+                    uf.union(self.dart_vertex[e.darts[0]], self.dart_vertex[e.darts[1]])
+            if len({uf.find(v) for v in self.rotations}) == 1:
+                return
+            for face in rotation_faces(self.rotations, self.alpha)[1]:
+                by_root = {}
+                for d in face:
+                    v = self.dart_vertex[d]
+                    r = uf.find(v)
+                    by_root[r] = min(by_root.get(r, v), v)
+                if len(by_root) >= 2:
+                    u, w = sorted(by_root.values())[:2]
+                    darts = self._insert_arc(
+                        u, self._corner_handle(face, u),
+                        w, self._corner_handle(face, w),
+                    )
+                    self._register_edge(darts, None)
+                    break
+            else:
+                raise AssertionError("no face joins two components")
+
+
+def scan_edge_endpoints(cov, ce):
+    lifts = [dl for dl, e in enumerate(cov.edge_of_lift) if e == ce]
+    return tuple(sorted(cov.vertex_of_lift[dl] for dl in lifts))
+
+
+def scan_deck_vertex(cov, cv):
+    for dl, v in enumerate(cov.vertex_of_lift):
+        if v == cv:
+            return cov.vertex_of_lift[dl ^ 1]
+    raise AssertionError(f"unknown cover vertex {cv}")
+
+
+def differential_cases():
+    for n in range(2, 41):
+        m = families.block_family(n)
+        yield m, sorted(m.arcs)
+        yield m, [a for a in sorted(m.arcs) if m.arcs[a].kind == "edge"]
+    rng = random.Random(2024)
+    for _ in range(150):
+        m = families.random_growth_map(rng, rng.choice([4, 6, 8, 12, 16, 24]))
+        yield m, families.random_subgraph(rng, m)
+
+
+def test_single_pass_scaffold_matches_restart_loop(monkeypatch):
+    for m, sub in differential_cases():
+        cov = cover.build_cover(m, sub)
+        with monkeypatch.context() as mp:
+            mp.setattr(cover, "MasterComplex", RestartMaster)
+            ref = cover.build_cover(m, sub)
+        got, want = cov.master, ref.master
+        assert type(want) is RestartMaster
+        assert got.edges == want.edges
+        assert got.rotations == want.rotations
+        assert got.branch_cuts == want.branch_cuts
+        # sigma kept up to date by every insertion
+        assert got.sigma == rotation_faces(got.rotations, got.alpha)[0]
+        assert cov.vertex_of_lift == ref.vertex_of_lift
+        assert cov.edge_of_lift == ref.edge_of_lift
+        assert cov.face_of_lift == ref.face_of_lift
+
+
+def test_lift_tables_match_linear_scans():
+    for m, sub in differential_cases():
+        cov = cover.build_cover(m, sub)
+        for ce in range(cov.n_edges):
+            assert cov.edge_endpoints(ce) == scan_edge_endpoints(cov, ce)
+        for cv in range(cov.n_vertices):
+            assert cov.deck_vertex(cv) == scan_deck_vertex(cov, cv)
+    with pytest.raises(InputError):
+        cov.deck_vertex(cov.n_vertices)

@@ -233,3 +233,63 @@ def test_sibling_loops_map():
     assert m.euler_summary() == (8, 8, 9, 8)
     kinds = sm.classify_components(m)
     assert all(k is sm.ComponentKind.LOOP for k in kinds)
+
+
+def full_face_keys(b):
+    """Face key of every dart, recomputed from the rotation lists alone."""
+    sigma = {}
+    for rot in b.rotations.values():
+        for i, d in enumerate(rot):
+            sigma[d] = rot[(i + 1) % len(rot)]
+    key_of = {}
+    for start in sorted(b.alpha):
+        if start not in key_of:
+            d = start
+            while d not in key_of:
+                key_of[d] = start
+                d = sigma[b.alpha[d]]
+    return sigma, key_of
+
+
+def test_mapbuilder_face_lookup_matches_full_recompute(monkeypatch):
+    checked = []
+
+    def check(b):
+        sigma, key_of = full_face_keys(b)
+        assert b.sigma == sigma
+        assert set(b._face_region) == set(key_of.values())
+        for v, rot in b.rotations.items():
+            for pos in range(len(rot)):
+                assert b._corner_face_key(v, pos) == key_of[rot[(pos + 1) % len(rot)]]
+        checked.append(len(b.arcs))
+
+    for name in ("add_bone", "attach_edge", "add_loop"):
+        def checked_insert(self, *args, _orig=getattr(sm.MapBuilder, name), **kwargs):
+            _orig(self, *args, **kwargs)
+            check(self)
+        monkeypatch.setattr(sm.MapBuilder, name, checked_insert)
+    rng = random.Random(11)
+    for _ in range(60):
+        families.random_growth_map(rng, rng.choice([4, 6, 8, 12, 16]))
+    families.block_family(5)
+    assert len(checked) > 300
+
+
+def test_components_carry_kinds_and_arc_split():
+    m = families.block_family(2)
+    comps = sm.components(m, m.arcs)
+    assert [(c.key, c.kind) for c in comps] == [
+        (1, sm.ComponentKind.LOOP),
+        (2, sm.ComponentKind.TREE),
+        (4, sm.ComponentKind.LOOP),
+        (5, sm.ComponentKind.TREE),
+    ]
+    assert comps == m.components
+    for c in comps:
+        assert set(c.loops) | set(c.edges) == set(c.arcs)
+        assert all(m.arcs[a].kind == "loop" for a in c.loops)
+    bare = sm.components(m, [])
+    assert [c.kind for c in bare] == [sm.ComponentKind.ISOLATED_VERTEX] * 6
+    assert sm.classify_arcs(m, [1, 3]) == {
+        c.key: c.kind for c in sm.components(m, [1, 3])
+    }
