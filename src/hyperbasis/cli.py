@@ -140,14 +140,23 @@ def cmd_prune(args) -> int:
     return EXIT_OK
 
 
+def _parse_subset(text: str) -> frozenset[int]:
+    """Arc ids of a comma-separated ``--subset`` list."""
+    ids = []
+    for entry in text.split(","):
+        try:
+            ids.append(int(entry))
+        except ValueError:
+            raise InputError(
+                f"--subset entries must be arc ids, got {entry!r}"
+            ) from None
+    return frozenset(ids)
+
+
 def cmd_verify(args) -> int:
     with open(args.map, "r", encoding="utf-8") as fh:
         smap = sphere.from_json(fh.read())
-    subset = (
-        frozenset(int(x) for x in args.subset.split(","))
-        if args.subset
-        else frozenset(smap.arcs)
-    )
+    subset = _parse_subset(args.subset) if args.subset else frozenset(smap.arcs)
     parity = sphere.is_nonseparating(smap, subset)
     cov = cover.build_cover(smap, subset)
     components = cover.complement_components(cov)

@@ -12,6 +12,12 @@ arc placement table from JSON.  Its data is validated for finiteness,
 symmetry and positivity only; whether it is realizable by an actual cone
 metric is not certified, and geometric impossibilities surface
 downstream as typed errors.
+
+Both models embed a growth log the same way: ``realize_arc`` gives each
+event's placement (an edge, or a loop with the cone points it encloses)
+and ``MetricModel.build_arc_graph`` inserts the arcs in growth order
+with ``MapBuilder``.  The regular model realizes only polygon sides, as
+plain edges.
 """
 
 from __future__ import annotations
@@ -21,7 +27,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import EmbeddingError, InputError
-from .spheremap import Arc, MapBuilder, SphereMap
+from .spheremap import MapBuilder, SphereMap
 
 __all__ = [
     "ArcEmbedding",
@@ -80,7 +86,7 @@ def _point_segment_distance(p, u, v) -> float:
 class ArcEmbedding:
     """Placement descriptor for inserting one growth arc into a sphere map."""
 
-    kind: str                      # "side" | "edge" | "loop"
+    kind: str                      # "edge" | "loop"
     i: int
     j: int | None = None
     at: int = 0                    # corner index at the occupied endpoint
@@ -110,7 +116,34 @@ class MetricModel:
         raise NotImplementedError
 
     def build_arc_graph(self, log) -> SphereMap:
-        raise NotImplementedError
+        """Embed one arc per event in growth order, the event index as
+        arc id; every arc has an endpoint that is still bare."""
+        builder = MapBuilder(range(1, self.n_points + 1))
+        for ev in log.events:
+            emb = self.realize_arc(ev)
+            if emb.kind == "loop":
+                builder.add_loop(ev.m, emb.i, set(emb.enclosed))
+                continue
+            i, j = emb.i, emb.j
+            i_bare = not builder.rotations[i]
+            j_bare = not builder.rotations[j]
+            if i_bare and j_bare:
+                builder.add_bone(ev.m, i, j)
+            elif i_bare or j_bare:
+                fresh, host = (i, j) if i_bare else (j, i)
+                corners = builder.corners_on_region(
+                    host, builder.region_of_vertex(fresh)
+                )
+                if not corners:
+                    raise EmbeddingError(
+                        f"vertex {host} has no corner on the region of {fresh}"
+                    )
+                builder.attach_edge(ev.m, fresh, host, corners[emb.at % len(corners)])
+            else:
+                raise EmbeddingError(
+                    f"event {ev.m} joins two occupied vertices; not a growth arc"
+                )
+        return builder.finalize()
 
     def _check_vertex(self, i: int) -> int:
         if not 1 <= i <= self.n_points:
@@ -192,49 +225,7 @@ class RegularDoubledPolygonModel(MetricModel):
                 f"arc {i}-{j} is not a polygon side; the growth process on "
                 "the regular model only touches adjacent vertices"
             )
-        return ArcEmbedding(kind="side", i=i, j=j)
-
-    def boundary_map(self) -> SphereMap:
-        """The polygon boundary cycle as a sphere arrangement: side k runs
-        from vertex k to vertex k+1 and carries arc id k."""
-        n = self.n_points
-        rot: dict[int, list[int]] = {v: [] for v in range(1, n + 1)}
-        arcs: dict[int, Arc] = {}
-        for k in range(n):
-            u, w = k + 1, (k + 1) % n + 1
-            d1, d2 = 2 * k, 2 * k + 1
-            arcs[k + 1] = Arc(id=k + 1, kind="edge", u=u, v=w, darts=(d1, d2))
-            rot[u].append(d1)
-            rot[w].append(d2)
-        return SphereMap(rot, arcs, {v: True for v in rot})
-
-    def build_arc_graph(self, log) -> SphereMap:
-        master = self.boundary_map()
-        n = self.n_points
-        side_event: dict[int, int] = {}
-        for ev in log.events:
-            emb = self.realize_arc(ev)
-            side = emb.i if (emb.j - emb.i == 1) else n
-            if side in side_event:
-                raise EmbeddingError(f"side {side} realized twice")
-            side_event[side] = ev.m
-        sub = master.without_arcs(set(master.arcs) - set(side_event))
-        return _relabel_arcs(sub, side_event)
-
-
-def _relabel_arcs(smap: SphereMap, mapping: dict[int, int]) -> SphereMap:
-    arcs = {
-        mapping[a.id]: Arc(
-            id=mapping[a.id], kind=a.kind, u=a.u, v=a.v, darts=a.darts
-        )
-        for a in smap.arcs.values()
-    }
-    return SphereMap(
-        smap.rotations,
-        arcs,
-        smap.cone,
-        regions=[dict(r) for r in smap.regions],
-    )
+        return ArcEmbedding(kind="edge", i=i, j=j)
 
 
 def regular_model(g: int) -> RegularDoubledPolygonModel:
@@ -348,32 +339,7 @@ class SyntheticModel(MetricModel):
 
     def build_arc_graph(self, log) -> SphereMap:
         self._used = set()
-        builder = MapBuilder(range(1, self.n_points + 1))
-        for ev in log.events:
-            emb = self.realize_arc(ev)
-            if emb.kind == "loop":
-                builder.add_loop(ev.m, emb.i, set(emb.enclosed))
-                continue
-            i, j = emb.i, emb.j
-            i_bare = not builder.rotations[i]
-            j_bare = not builder.rotations[j]
-            if i_bare and j_bare:
-                builder.add_bone(ev.m, i, j)
-            elif i_bare or j_bare:
-                fresh, host = (i, j) if i_bare else (j, i)
-                corners = builder.corners_on_region(
-                    host, builder.region_of_vertex(fresh)
-                )
-                if not corners:
-                    raise EmbeddingError(
-                        f"vertex {host} has no corner on the region of {fresh}"
-                    )
-                builder.attach_edge(ev.m, fresh, host, corners[emb.at % len(corners)])
-            else:
-                raise EmbeddingError(
-                    f"event {ev.m} joins two occupied vertices; not a growth arc"
-                )
-        return builder.finalize()
+        return super().build_arc_graph(log)
 
 
 def _finite_floats(values, field: str) -> list[float]:

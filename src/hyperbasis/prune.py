@@ -70,7 +70,6 @@ class PruneResult:
     blocks: list[Block]
     trace: list[dict]
     input_isolated: int             # map vertices bare before pruning
-    final_map: SphereMap = field(repr=False, default=None)  # type: ignore
 
     def guaranteed_count(self) -> int:
         """Arc-count floor: bare input vertices sit in no block."""
@@ -316,17 +315,14 @@ def prune(smap: SphereMap) -> PruneResult:
         kind = "loop" if work.arcs[extra[0]].kind == "loop" else "bone"
         blocks.append(Block(kind=kind, arcs=tuple(extra), vertices=comp.vertices))
 
-    final = smap.without_arcs(set(deleted))
-    result = PruneResult(
+    return PruneResult(
         genus=g,
         kept=tuple(sorted(alive)),
         deleted=tuple(deleted),
         blocks=blocks,
         trace=trace,
         input_isolated=input_isolated,
-        final_map=final,
     )
-    return result
 
 
 def verify(result: PruneResult, smap: SphereMap) -> dict:

@@ -410,7 +410,9 @@ class SphereMap(RotationSystem):
         )
 
     def without_arcs(self, removed: set[int]) -> "SphereMap":
-        """The arrangement with the given arcs erased from the sphere."""
+        """The arrangement with the given arcs erased from the sphere: the
+        regions on the two sides of an erased arc merge, and every kept
+        face or newly bare vertex joins the merged region it lay in."""
         removed = set(removed)
         for aid in removed:
             if aid not in self.arcs:
@@ -423,33 +425,30 @@ class SphereMap(RotationSystem):
         }
         uf = _UnionFind(range(len(self.regions)))
         for aid in removed:
-            r1, r2 = self.side_regions(aid)
-            uf.union(r1, r2)
+            uf.union(*self.side_regions(aid))
         # regroup: old region class -> new region index
-        classes = sorted(uf.classes())
-        new_idx = {root: i for i, root in enumerate(classes)}
-        groups: list[dict] = [{"faces": [], "isolated": []} for _ in classes]
-        sub = SphereMap.__new__(SphereMap)
-        RotationSystem.__init__(sub, rotations)
-        sub.arcs = kept_arcs
-        sub.cone = dict(self.cone)
-        sub._pair_darts()
-        sub._build_faces()
-        sub._build_components()
-        sub.n_cone = self.n_cone
-        sub.genus = self.genus
-        sub._check_component_euler()
-        for i, f in enumerate(sub.faces):
-            old_region = self.region_of_face[self.face_of[f[0]]]
-            groups[new_idx[uf.find(old_region)]]["faces"].append(f[0])
-        for v in sub.isolated:
-            if v in self.isolated:
-                old_region = self.region_of_isolated[v]
-            else:
-                old_region = self.region_of_face[self.face_of[self.rotations[v][0]]]
-            groups[new_idx[uf.find(old_region)]]["isolated"].append(v)
-        sub._build_regions(groups)
-        return sub
+        new_idx = {root: i for i, root in enumerate(sorted(uf.classes()))}
+        groups: list[dict] = [{"faces": [], "isolated": []} for _ in new_idx]
+
+        def group(old_region: int) -> dict:
+            return groups[new_idx[uf.find(old_region)]]
+
+        kept = RotationSystem(rotations)
+        for a in kept_arcs.values():
+            d1, d2 = a.darts
+            kept.alpha[d1], kept.alpha[d2] = d2, d1
+        for f in kept.face_orbits():
+            group(self.region_of_face[self.face_of[f[0]]])["faces"].append(f[0])
+        for v, rot in rotations.items():
+            if not rot:
+                old = self.rotations[v]
+                region = (
+                    self.region_of_face[self.face_of[old[0]]]
+                    if old
+                    else self.region_of_isolated[v]
+                )
+                group(region)["isolated"].append(v)
+        return SphereMap(rotations, kept_arcs, self.cone, regions=groups)
 
     # -- serialization -----------------------------------------------
 
@@ -591,6 +590,7 @@ class RegionTree:
     loop_sides: dict[int, tuple[int, int]]   # loop arc -> (far node, near node)
     root: int
     levels: dict[int, int]
+    below: dict[int, int]     # cone points in each node's subtree, seen from the root
 
     def units(self, node_id: int) -> list[tuple[str, int]]:
         """Cone counts a simple closed curve inside the region can cut off.
@@ -624,36 +624,15 @@ class RegionTree:
         total += len(node.isolated)
         return total
 
-    def _half(self, lam: int, node_id: int) -> set[int]:
-        """Node ids on the far side of boundary loop ``lam`` of ``node_id``."""
+    def _beyond(self, lam: int, node_id: int) -> int:
+        """Cone points strictly on the far side of ``lam`` seen from the
+        node: the far node's subtree if it is a child, else everything
+        outside this node's subtree except the base of ``lam``."""
         a, b = self.loop_sides[lam]
         far = b if a == node_id else a
-        seen = {far}
-        stack = [far]
-        while stack:
-            n = stack.pop()
-            for mu in self.nodes[n].boundary:
-                if mu == lam:
-                    continue
-                x, y = self.loop_sides[mu]
-                other = y if x == n else x
-                if other not in seen:
-                    seen.add(other)
-                    stack.append(other)
-        return seen
-
-    def _beyond(self, lam: int, node_id: int) -> int:
-        """Cone points strictly on the far side of ``lam`` seen from the node."""
-        far = self._half(lam, node_id)
-        count = 0
-        for n in far:
-            node = self.nodes[n]
-            count += len(node.isolated)
-            count += sum(len(p.vertices) for p in node.pieces)
-        for mu, (x, y) in self.loop_sides.items():
-            if mu != lam and x in far and y in far:
-                count += 1
-        return count
+        if self.levels[far] < self.levels[node_id]:
+            return self.below[far]
+        return self.below[self.root] - self.below[node_id] - 1
 
 
 def region_tree(smap: SphereMap, subgraph) -> RegionTree:
@@ -740,8 +719,9 @@ def region_tree(smap: SphereMap, subgraph) -> RegionTree:
                 # the stem dart at the base determines the side of the loop
                 stem = a.darts[0] if a.u == x else a.darts[1]
                 piece_node[root] = node_of_region(smap.corner_region(stem))
+    piece_vertices = puf.classes()
     for root, arcs_ in piece_arcs.items():
-        verts = tuple(sorted({x for x in puf.classes()[puf.find(root)]}))
+        verts = tuple(sorted(piece_vertices[root]))
         if root not in piece_node:
             d0 = smap.arcs[arcs_[0]].darts[0]
             piece_node[root] = node_of_region(smap.corner_region(d0))
@@ -765,21 +745,26 @@ def region_tree(smap: SphereMap, subgraph) -> RegionTree:
     else:
         root = 0
     dist = {root: 0}
-    frontier = [root]
-    while frontier:
-        nxt = []
-        for n in frontier:
-            for lam in nodes[n].boundary:
-                x, y = loop_sides[lam]
-                other = y if x == n else x
-                if other not in dist:
-                    dist[other] = dist[n] + 1
-                    nxt.append(other)
-        frontier = nxt
+    parent: dict[int, int] = {}
+    order = [root]                 # breadth-first, so parents come first
+    for n in order:
+        for lam in nodes[n].boundary:
+            x, y = loop_sides[lam]
+            other = y if x == n else x
+            if other not in dist:
+                dist[other] = dist[n] + 1
+                parent[other] = n
+                order.append(other)
     if len(dist) != len(nodes):
         raise EmbeddingError("region adjacency is not connected")
     ecc = max(dist.values())
     levels = {n: ecc - d for n, d in dist.items()}
+    below = {
+        n: len(node.isolated) + sum(len(p.vertices) for p in node.pieces)
+        for n, node in nodes.items()
+    }
+    for n in reversed(order[1:]):
+        below[parent[n]] += below[n] + 1       # + the base of the joining loop
     for n, node in nodes.items():
         node.level = levels[n]
     return RegionTree(
@@ -789,6 +774,7 @@ def region_tree(smap: SphereMap, subgraph) -> RegionTree:
         loop_sides=loop_sides,
         root=root,
         levels=levels,
+        below=below,
     )
 
 
@@ -820,13 +806,11 @@ class MapBuilder(RotationSystem):
     face is named by its smallest dart and darts are allocated upward.
     """
 
-    def __init__(self, vertex_ids, cone: dict[int, bool] | None = None):
+    def __init__(self, vertex_ids):
         super().__init__({int(v): [] for v in vertex_ids})
         if len(self.rotations) < 2:
             raise InputError("need at least two vertices")
         self.cone = {v: True for v in self.rotations}
-        if cone:
-            self.cone.update(cone)
         self.arcs: dict[int, Arc] = {}
         # region -> {"faces": set of face keys, "isolated": set of vertices}
         self._regions: list[dict] = [

@@ -280,3 +280,20 @@ def test_malformed_map_exits_2(mutate, message, tmp_path, capsys):
     code, _, err = run(["prune", "--map", str(path)], capsys)
     assert code == 2
     assert message in err
+
+
+@pytest.mark.parametrize(
+    "subset, message",
+    [
+        ("a,b", "--subset entries must be arc ids, got 'a'"),
+        ("1,,2", "--subset entries must be arc ids, got ''"),
+        ("1,2x", "--subset entries must be arc ids, got '2x'"),
+    ],
+)
+def test_verify_bad_subset_exits_2(subset, message, tmp_path, capsys):
+    path = tmp_path / "three.json"
+    path.write_text(bones([(1, 2), (3, 4), (5, 6)], 6).to_json())
+    code, out, err = run(["verify", "--map", str(path), "--subset", subset], capsys)
+    assert code == 2
+    assert out == ""
+    assert message in err

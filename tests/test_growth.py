@@ -2,9 +2,10 @@ import math
 
 import pytest
 
-from hyperbasis import bounds, growth, hypmodel
+from hyperbasis import bounds, growth, hypmodel, prune
 from hyperbasis.errors import BoundViolation, EmbeddingError, InputError, InvalidMetric
-from hyperbasis.spheremap import ComponentKind, classify_components
+from hyperbasis.spheremap import Arc, ComponentKind, SphereMap, classify_components
+from mapfactory import polygon_cycle
 
 
 def test_regular_g2_golden_sequence():
@@ -99,13 +100,13 @@ def test_synthetic_forced_self_touch():
     assert log.M == 6 and log.consumed_total() == 6
 
 
-def test_fig4_style_synthetic_log():
+def fig4_style_model():
     """Two quick bones, then loops around them: the block picture."""
     n = 6
     dist = [[0.0 if a == b else 2.0 for b in range(n)] for a in range(n)]
     dist[1][2] = dist[2][1] = 0.4
     dist[4][5] = dist[5][4] = 0.4
-    m = hypmodel.load_synthetic(
+    return hypmodel.load_synthetic(
         {
             "genus": 2,
             "distances": dist,
@@ -118,6 +119,10 @@ def test_fig4_style_synthetic_log():
             ],
         }
     )
+
+
+def test_fig4_style_synthetic_log():
+    m = fig4_style_model()
     log = growth.simulate(m)
     assert [(ev.kind, ev.i) for ev in log.events] == [
         ("pair", 2),
@@ -141,7 +146,7 @@ def test_arc_graph_regular_path():
     assert graph.euler_summary() == (6, 5, 1, 1)
     assert classify_components(graph) == [ComponentKind.TREE]
     assert {(a.u, a.v) for a in graph.arcs.values()} == {
-        (1, 2), (6, 1), (2, 3), (3, 4), (4, 5)
+        (1, 2), (1, 6), (2, 3), (3, 4), (4, 5)
     }
 
 
@@ -184,6 +189,98 @@ def test_partial_log_single_self_touch():
     kinds = classify_components(graph)
     assert kinds.count(ComponentKind.LOOP) == 1
     assert kinds.count(ComponentKind.ISOLATED_VERTEX) == 5
+
+
+# -- arc graphs against the former polygon-cycle construction -----------
+
+
+def boundary_cycle_arc_graph(model, log):
+    """Reference: the former regular-model construction, which erased the
+    unrealized sides of the polygon boundary cycle and relabelled the
+    rest by event index."""
+    n = model.n_points
+    master = polygon_cycle(n)
+    side_event = {}
+    for ev in log.events:
+        emb = model.realize_arc(ev)
+        side = emb.i if emb.j - emb.i == 1 else n
+        assert side not in side_event
+        side_event[side] = ev.m
+    sub = master.without_arcs(set(master.arcs) - set(side_event))
+    arcs = {
+        side_event[a.id]: Arc(
+            id=side_event[a.id], kind=a.kind, u=a.u, v=a.v, darts=a.darts
+        )
+        for a in sub.arcs.values()
+    }
+    return SphereMap(
+        sub.rotations, arcs, sub.cone, regions=[dict(r) for r in sub.regions]
+    )
+
+
+def region_contents(smap):
+    """Every region as its isolated vertices and the arcs along its
+    faces, free of dart numbering."""
+    arc_of = {d: a.id for a in smap.arcs.values() for d in a.darts}
+    face_by_key = {f[0]: f for f in smap.faces}
+    return sorted(
+        (
+            tuple(r["isolated"]),
+            tuple(sorted({arc_of[d] for k in r["faces"] for d in face_by_key[k]})),
+        )
+        for r in smap.regions
+    )
+
+
+@pytest.mark.parametrize("g", range(2, 41))
+def test_regular_arc_graph_matches_boundary_cycle(g):
+    m = hypmodel.regular_model(g)
+    log = growth.simulate(m)
+    new, old = growth.arc_graph(log, m), boundary_cycle_arc_graph(m, log)
+    assert {a.id: {a.u, a.v} for a in new.arcs.values()} == {
+        a.id: {a.u, a.v} for a in old.arcs.values()
+    }
+    assert all(a.kind == "edge" for a in new.arcs.values())
+    assert classify_components(new) == classify_components(old)
+    assert new.euler_summary() == old.euler_summary()
+    assert region_contents(new) == region_contents(old)
+    new_result, old_result = prune.prune(new), prune.prune(old)
+    assert new_result == old_result
+    assert prune.verify(new_result, new) == prune.verify(old_result, old)
+
+
+def attach_path_model():
+    """Two quick bones, then a fresh vertex attached to each."""
+    n = 6
+    dist = [[0.0 if a == b else 2.0 for b in range(n)] for a in range(n)]
+    dist[0][1] = dist[1][0] = 0.4
+    dist[3][4] = dist[4][3] = 0.4
+    dist[1][2] = dist[2][1] = 0.6
+    dist[4][5] = dist[5][4] = 0.6
+    return hypmodel.load_synthetic(
+        {
+            "genus": 2,
+            "distances": dist,
+            "loop_radii": [10.0] * n,
+            "arcs": [
+                {"kind": "edge", "i": 1, "j": 2},
+                {"kind": "edge", "i": 4, "j": 5},
+                {"kind": "edge", "i": 2, "j": 3},
+                {"kind": "edge", "i": 6, "j": 5, "at": 1},
+            ],
+        }
+    )
+
+
+@pytest.mark.parametrize(
+    "make", [forced_selftouch_model, fig4_style_model, attach_path_model]
+)
+def test_synthetic_build_arc_graph_repeats(make):
+    m = make()
+    log = growth.simulate(m)
+    first = m.build_arc_graph(log)
+    assert m.build_arc_graph(log).to_dict() == first.to_dict()
+    assert len(first.arcs) == len(log.events)
 
 
 # -- differential test against the per-round rescan ---------------------

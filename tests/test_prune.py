@@ -142,7 +142,6 @@ def test_corrupted_result_fails_verification():
         blocks=res.blocks,
         trace=res.trace,
         input_isolated=res.input_isolated,
-        final_map=None,
     )
     with pytest.raises(VerificationFailure):
         prune.verify(restored, m)

@@ -293,3 +293,114 @@ def test_components_carry_kinds_and_arc_split():
     assert sm.classify_arcs(m, [1, 3]) == {
         c.key: c.kind for c in sm.components(m, [1, 3])
     }
+
+
+# -- without_arcs against the former replay of the constructor -----------
+
+
+def replayed_without_arcs(smap, removed):
+    """Reference: the former ``without_arcs``, which replayed the
+    constructor's private steps on a bare ``SphereMap`` object."""
+    removed = set(removed)
+    kept_arcs = {a: smap.arcs[a] for a in smap.arcs if a not in removed}
+    dead_darts = {d for a in removed for d in smap.arcs[a].darts}
+    rotations = {
+        v: [d for d in rot if d not in dead_darts]
+        for v, rot in smap.rotations.items()
+    }
+    uf = sm._UnionFind(range(len(smap.regions)))
+    for aid in removed:
+        r1, r2 = smap.side_regions(aid)
+        uf.union(r1, r2)
+    classes = sorted(uf.classes())
+    new_idx = {root: i for i, root in enumerate(classes)}
+    groups = [{"faces": [], "isolated": []} for _ in classes]
+    sub = sm.SphereMap.__new__(sm.SphereMap)
+    sm.RotationSystem.__init__(sub, rotations)
+    sub.arcs = kept_arcs
+    sub.cone = dict(smap.cone)
+    sub._pair_darts()
+    sub._build_faces()
+    sub._build_components()
+    sub.n_cone = smap.n_cone
+    sub.genus = smap.genus
+    sub._check_component_euler()
+    for f in sub.faces:
+        old_region = smap.region_of_face[smap.face_of[f[0]]]
+        groups[new_idx[uf.find(old_region)]]["faces"].append(f[0])
+    for v in sub.isolated:
+        if v in smap.isolated:
+            old_region = smap.region_of_isolated[v]
+        else:
+            old_region = smap.region_of_face[smap.face_of[smap.rotations[v][0]]]
+        groups[new_idx[uf.find(old_region)]]["isolated"].append(v)
+    sub._build_regions(groups)
+    return sub
+
+
+def removal_cases():
+    rng = random.Random(11)
+    for n in range(2, 21):
+        m = families.block_family(n)
+        yield m, set()
+        yield m, set(m.arcs)
+        yield m, set(m.arcs) - families.random_subgraph(rng, m)
+    for _ in range(150):
+        m = families.random_growth_map(rng, rng.choice([4, 6, 8, 12, 16, 24]))
+        yield m, set(m.arcs) - families.random_subgraph(rng, m)
+
+
+def test_without_arcs_matches_replayed_constructor():
+    for m, removed in removal_cases():
+        new = m.without_arcs(removed)
+        assert new.to_dict() == replayed_without_arcs(m, removed).to_dict()
+        assert set(new.arcs) == set(m.arcs) - removed
+
+
+# -- region tree subtree counts against the breadth-first walks ----------
+
+
+def bfs_beyond(tree, lam, node_id):
+    """Reference: cone points strictly beyond ``lam``, found by walking
+    the nodes on its far side."""
+    a, b = tree.loop_sides[lam]
+    far = {b if a == node_id else a}
+    stack = list(far)
+    while stack:
+        n = stack.pop()
+        for mu in tree.nodes[n].boundary:
+            if mu == lam:
+                continue
+            x, y = tree.loop_sides[mu]
+            other = y if x == n else x
+            if other not in far:
+                far.add(other)
+                stack.append(other)
+    count = 0
+    for n in far:
+        node = tree.nodes[n]
+        count += len(node.isolated) + sum(len(p.vertices) for p in node.pieces)
+    for mu, (x, y) in tree.loop_sides.items():
+        if mu != lam and x in far and y in far:
+            count += 1
+    return count
+
+
+def region_tree_cases():
+    rng = random.Random(5)
+    for n in range(2, 41):
+        m = families.block_family(n)
+        yield m, frozenset(m.arcs)
+        yield m, families.random_subgraph(rng, m)
+    for _ in range(200):
+        m = families.random_growth_map(rng, rng.choice([4, 6, 8, 12, 16, 24]))
+        yield m, families.random_subgraph(rng, m)
+
+
+def test_region_tree_counts_match_breadth_first_walks():
+    for m, sub in region_tree_cases():
+        tree = sm.region_tree(m, sub)
+        got = {n: (tree.units(n), tree.census(n)) for n in tree.nodes}
+        tree._beyond = lambda lam, node_id, t=tree: bfs_beyond(t, lam, node_id)
+        want = {n: (tree.units(n), tree.census(n)) for n in tree.nodes}
+        assert got == want
