@@ -156,13 +156,9 @@ def _parse_subset(text: str) -> frozenset[int]:
 def cmd_verify(args) -> int:
     with open(args.map, "r", encoding="utf-8") as fh:
         smap = sphere.from_json(fh.read())
-    subset = _parse_subset(args.subset) if args.subset else frozenset(smap.arcs)
+    subset = frozenset(smap.arcs) if args.subset is None else _parse_subset(args.subset)
     parity = sphere.is_nonseparating(smap, subset)
-    cov = cover.build_cover(smap, subset)
-    components = cover.complement_components(cov)
-    rank = cover.z2_cycle_rank(
-        cov, [cov.kept_cycle[a] for a in sorted(subset)]
-    )
+    components, rank = cover.verdict(smap, subset)
     verdict = components == 1
     payload = {
         "arcs": sorted(subset),

@@ -40,6 +40,7 @@ __all__ = [
     "winding_parity",
     "complement_components",
     "z2_cycle_rank",
+    "verdict",
     "is_partial_basis",
 ]
 
@@ -530,22 +531,27 @@ def h1_dimension(cov: CoverComplex) -> int:
     return z1 - _gf2_rank(_boundary_rows(cov))
 
 
-def is_partial_basis(smap: SphereMap, subgraph) -> bool:
-    """Whether the lifted system (one loop per figure eight) extends to a
-    homology basis: true iff its complement in the cover is connected.
+def verdict(smap: SphereMap, subgraph) -> tuple[int, int]:
+    """Complement components of the lifted system (one loop per figure
+    eight) in the cover, and the GF(2) rank of its classes.
 
-    When true, the classes are also checked to be independent over GF(2),
-    with rank equal to the number of arcs.
+    A connected complement means the system extends to a homology basis;
+    then the rank must equal the number of arcs, at most 2*genus.
     """
     sub = frozenset(int(a) for a in subgraph)
     cov = build_cover(smap, sub)
-    if complement_components(cov) != 1:
-        return False
+    components = complement_components(cov)
     rank = z2_cycle_rank(cov, [cov.kept_cycle[a] for a in sorted(sub)])
-    if rank != len(sub):
-        raise ConstructionError(
-            f"connected complement but rank {rank} != {len(sub)} curves"
-        )
-    if len(sub) > 2 * smap.genus:
-        raise ConstructionError("more independent curves than 2*genus")
-    return True
+    if components == 1:
+        if rank != len(sub):
+            raise ConstructionError(
+                f"connected complement but rank {rank} != {len(sub)} curves"
+            )
+        if len(sub) > 2 * smap.genus:
+            raise ConstructionError("more independent curves than 2*genus")
+    return components, rank
+
+
+def is_partial_basis(smap: SphereMap, subgraph) -> bool:
+    """Whether the lifted system extends to a homology basis."""
+    return verdict(smap, subgraph)[0] == 1

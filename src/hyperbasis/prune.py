@@ -167,15 +167,10 @@ def prune(smap: SphereMap) -> PruneResult:
             comp = comp_by_key[min(piece.vertices)]
             if len(comp.edges) == 1 and comp.key not in paired_keys:
                 regions[nid].free_bones[comp.key] = comp
-    for lam, (a, b) in tree.loop_sides.items():
-        la, lb = tree.levels[a], tree.levels[b]
-        lo, hi = (a, b) if la < lb else (b, a)
-        regions[lo].outer = lam
-        regions[hi].inner.add(lam)
-    loop_sides = {
-        lam: ((a, b) if tree.levels[a] < tree.levels[b] else (b, a))
-        for lam, (a, b) in tree.loop_sides.items()
-    }
+    loop_sides = dict(tree.loop_sides)       # loop -> (child, parent)
+    for lam, (child, parent) in loop_sides.items():
+        regions[child].outer = lam
+        regions[parent].inner.add(lam)
     paired_loops: set[int] = set()
     alive = {a for a in work.arcs}
     g = smap.genus
@@ -212,9 +207,7 @@ def prune(smap: SphereMap) -> PruneResult:
         high.free_bones.update(low.free_bones)
         high.inner |= low.inner
         for mu in low.inner:
-            a, b = loop_sides[mu]
-            lo_side = a if a != low.id else b
-            loop_sides[mu] = (lo_side, high.id)
+            loop_sides[mu] = (loop_sides[mu][0], high.id)
         high.level = max(high.level, low.level)
         del regions[low.id]
         unprocessed.discard(low.id)

@@ -587,7 +587,7 @@ class RegionTree:
     smap: SphereMap
     subgraph: frozenset[int]
     nodes: dict[int, RegionNode]
-    loop_sides: dict[int, tuple[int, int]]   # loop arc -> (far node, near node)
+    loop_sides: dict[int, tuple[int, int]]   # loop arc -> (child node, parent node)
     root: int
     levels: dict[int, int]
     below: dict[int, int]     # cone points in each node's subtree, seen from the root
@@ -626,12 +626,11 @@ class RegionTree:
 
     def _beyond(self, lam: int, node_id: int) -> int:
         """Cone points strictly on the far side of ``lam`` seen from the
-        node: the far node's subtree if it is a child, else everything
-        outside this node's subtree except the base of ``lam``."""
-        a, b = self.loop_sides[lam]
-        far = b if a == node_id else a
-        if self.levels[far] < self.levels[node_id]:
-            return self.below[far]
+        node: the child's subtree if the node is the parent, else
+        everything outside the node's subtree except the base of ``lam``."""
+        child, parent = self.loop_sides[lam]
+        if parent == node_id:
+            return self.below[child]
         return self.below[self.root] - self.below[node_id] - 1
 
 
@@ -667,13 +666,13 @@ def region_tree(smap: SphereMap, subgraph) -> RegionTree:
     def node_of_region(r: int) -> int:
         return node_of_class[uf.find(r)]
 
-    loop_sides = {}
+    sides = {}
     for lam in loop_arcs:
         r1, r2 = smap.side_regions(lam)
         n1, n2 = node_of_region(r1), node_of_region(r2)
         if n1 == n2:
             raise EmbeddingError(f"loop {lam} does not separate the sphere")
-        loop_sides[lam] = (n1, n2)
+        sides[lam] = (n1, n2)
         nodes[n1].boundary.append(lam)
         nodes[n2].boundary.append(lam)
     if len(nodes) != len(loop_arcs) + 1:
@@ -745,15 +744,15 @@ def region_tree(smap: SphereMap, subgraph) -> RegionTree:
     else:
         root = 0
     dist = {root: 0}
-    parent: dict[int, int] = {}
-    order = [root]                 # breadth-first, so parents come first
+    loop_sides = {}                # breadth-first, so parents come first
+    order = [root]
     for n in order:
         for lam in nodes[n].boundary:
-            x, y = loop_sides[lam]
+            x, y = sides[lam]
             other = y if x == n else x
             if other not in dist:
                 dist[other] = dist[n] + 1
-                parent[other] = n
+                loop_sides[lam] = (other, n)
                 order.append(other)
     if len(dist) != len(nodes):
         raise EmbeddingError("region adjacency is not connected")
@@ -763,8 +762,8 @@ def region_tree(smap: SphereMap, subgraph) -> RegionTree:
         n: len(node.isolated) + sum(len(p.vertices) for p in node.pieces)
         for n, node in nodes.items()
     }
-    for n in reversed(order[1:]):
-        below[parent[n]] += below[n] + 1       # + the base of the joining loop
+    for child, parent in reversed(loop_sides.values()):
+        below[parent] += below[child] + 1      # + the base of the joining loop
     for n, node in nodes.items():
         node.level = levels[n]
     return RegionTree(
@@ -800,10 +799,20 @@ def is_nonseparating(smap: SphereMap, subgraph) -> bool:
 
 class MapBuilder(RotationSystem):
     """Builds an embedded arc arrangement the way disk growth creates it:
-    every inserted arc has at least one endpoint that is still bare.
+    every new arc has a bare endpoint (a bone between two bare vertices,
+    a loop at a bare vertex, or an edge from a bare vertex into a corner
+    of an occupied one).  That order fixes what is recorded once here:
 
-    Regions are tracked exactly; face identifiers stay stable because a
-    face is named by its smallest dart and darts are allocated upward.
+    - no face splits or merges: a bone opens the face of its smaller
+      dart p, a loop the monogons {p} inside and {q} outside, and an
+      attached edge's darts join their corner's face, so each dart's
+      face key (smallest dart of its face) is set when it is made;
+    - no two components with arcs join, and a component holds at most
+      one loop, whose inside vertex set is the ``enclosed`` of
+      ``add_loop``: behind a loop-free component's face lies just the
+      component, behind a loop's outside face also that set, and behind
+      its inside face every vertex outside it;
+    - a bare vertex keeps its region until it gets an arc.
     """
 
     def __init__(self, vertex_ids):
@@ -812,34 +821,31 @@ class MapBuilder(RotationSystem):
             raise InputError("need at least two vertices")
         self.cone = {v: True for v in self.rotations}
         self.arcs: dict[int, Arc] = {}
-        # region -> {"faces": set of face keys, "isolated": set of vertices}
-        self._regions: list[dict] = [
-            {"faces": set(), "isolated": set(self.rotations)}
-        ]
-        self._face_region: dict[int, int] = {}
-        self._comp_uf = _UnionFind(self.rotations)
+        self._n_regions = 1
+        self._region_of = dict.fromkeys(self.rotations, 0)   # bare vertex -> region
+        self._face_region: dict[int, int] = {}       # face key -> region
+        self._face_key: dict[int, int] = {}          # dart -> face key
+        self._component: dict[int, set[int]] = {}    # occupied vertex -> component
+        self._behind: dict[int, frozenset[int]] = {}  # loop face key -> far side
 
     def _corner_face_key(self, v: int, pos: int) -> int:
-        """Face key (smallest dart) of the corner after rotation position
-        ``pos`` at ``v``, which is the face orbit containing the successor
-        dart."""
+        """Face key of the corner after rotation position ``pos`` at
+        ``v``, which is the face of the successor dart."""
         rot = self.rotations[v]
-        return min(self.face(rot[(pos + 1) % len(rot)]))
+        return self._face_key[rot[(pos + 1) % len(rot)]]
 
     def region_of_vertex(self, v: int) -> int:
         """Region of a currently isolated vertex."""
-        for i, r in enumerate(self._regions):
-            if v in r["isolated"]:
-                return i
-        raise InputError(f"vertex {v} is not isolated")
+        if v not in self._region_of:
+            raise InputError(f"vertex {v} is not isolated")
+        return self._region_of[v]
 
     def corners_on_region(self, w: int, region: int) -> list[int]:
         """Rotation positions at ``w`` whose corner borders the region."""
-        out = []
-        for pos in range(len(self.rotations[w])):
-            if self._face_region.get(self._corner_face_key(w, pos)) == region:
-                out.append(pos)
-        return out
+        return [
+            pos for pos in range(len(self.rotations[w]))
+            if self._face_region[self._corner_face_key(w, pos)] == region
+        ]
 
     def region_item_contents(self, region: int) -> list[dict]:
         """Direct items of a region with their total nested vertex sets.
@@ -848,58 +854,31 @@ class MapBuilder(RotationSystem):
         for a component the set includes everything nested behind its
         face, so enclosing the item means enclosing all of it.
         """
-        region_of_face = self._face_region
-        comp_of_face = {
-            fk: self._comp_uf.find(self.dart_vertex[fk]) for fk in region_of_face
-        }
-        comp_faces: dict[int, list[int]] = {}
-        for fk, c in comp_of_face.items():
-            comp_faces.setdefault(c, []).append(fk)
-        comp_vertices: dict[int, set[int]] = {}
-        for v in self.rotations:
-            comp_vertices.setdefault(self._comp_uf.find(v), set()).add(v)
-
-        def subtree(face_key: int, from_region: int) -> frozenset[int]:
-            """All vertices behind ``face_key`` seen from ``from_region``."""
-            out: set[int] = set()
-            comp_stack = [(comp_of_face[face_key], from_region)]
-            seen_regions = {from_region}
-            while comp_stack:
-                comp, via_region = comp_stack.pop()
-                out |= comp_vertices[comp]
-                for fk in comp_faces[comp]:
-                    r = region_of_face[fk]
-                    if r in seen_regions:
-                        continue
-                    seen_regions.add(r)
-                    out |= self._regions[r]["isolated"]
-                    for fk2 in self._regions[r]["faces"]:
-                        c2 = comp_of_face[fk2]
-                        if c2 != comp:
-                            comp_stack.append((c2, r))
-            return frozenset(out)
-
-        items = []
-        for fk in sorted(self._regions[region]["faces"]):
-            items.append({"face": fk, "vertices": subtree(fk, region)})
-        for v in sorted(self._regions[region]["isolated"]):
-            items.append({"face": None, "vertices": frozenset({v})})
+        faces = sorted(fk for fk, r in self._face_region.items() if r == region)
+        isolated = sorted(v for v, r in self._region_of.items() if r == region)
+        items = [
+            {
+                "face": fk,
+                "vertices": frozenset(self._component[self.dart_vertex[fk]])
+                .union(self._behind.get(fk, ())),
+            }
+            for fk in faces
+        ]
+        items += [{"face": None, "vertices": frozenset({v})} for v in isolated]
         return items
 
     def add_bone(self, arc_id: int, u: int, w: int) -> None:
         """Edge between two bare vertices lying in a common region."""
-        ru, rw = self.region_of_vertex(u), self.region_of_vertex(w)
-        if ru != rw:
+        region = self.region_of_vertex(u)
+        if self.region_of_vertex(w) != region:
             raise EmbeddingError(f"vertices {u} and {w} lie in different regions")
         if u == w:
             raise EmbeddingError("a bone needs distinct endpoints")
-        p, q = self._insert_arc(u, None, w, None)
-        self._register(arc_id, "edge", u, w, (p, q))
-        region = self._regions[ru]
-        region["isolated"] -= {u, w}
-        region["faces"].add(p)     # the bone's single face, key = min(p, q) = p
-        self._face_region[p] = ru
-        self._comp_uf.union(u, w)
+        p, q = self._add_arc(arc_id, "edge", u, None, w, None)
+        self._face_key[p] = self._face_key[q] = p     # the bone's single face
+        self._face_region[p] = region
+        del self._region_of[u], self._region_of[w]
+        self._component[u] = self._component[w] = {u, w}
 
     def attach_edge(self, arc_id: int, fresh: int, host: int, at: int = 0) -> None:
         """Edge from a bare vertex into the corner after rotation position
@@ -911,73 +890,64 @@ class MapBuilder(RotationSystem):
             raise EmbeddingError(f"vertex {fresh} is not bare")
         at %= len(self.rotations[host])
         fkey = self._corner_face_key(host, at)
-        region = self._face_region[fkey]
-        if self.region_of_vertex(fresh) != region:
+        if self.region_of_vertex(fresh) != self._face_region[fkey]:
             raise EmbeddingError(
                 f"vertex {fresh} is not in the region behind that corner"
             )
-        p, q = self._insert_arc(host, self.rotations[host][at], fresh, None)
-        self._register(arc_id, "edge", host, fresh, (p, q))
-        self._regions[region]["isolated"].discard(fresh)
-        self._comp_uf.union(host, fresh)
-        # pendant insertion keeps the face key: new darts are larger
+        p, q = self._add_arc(arc_id, "edge", host, self.rotations[host][at], fresh, None)
+        self._face_key[p] = self._face_key[q] = fkey  # new darts are larger
+        del self._region_of[fresh]
+        self._component[fresh] = self._component[host]
+        self._component[host].add(fresh)
 
     def add_loop(self, arc_id: int, v: int, enclosed) -> None:
         """Loop at a bare vertex; ``enclosed`` lists the cone vertices that
         end up strictly inside.  It must be a union of whole region items
         (a nested component drags its entire contents along)."""
         region = self.region_of_vertex(v)
-        enclosed = {int(x) for x in enclosed}
+        enclosed = frozenset(int(x) for x in enclosed)
         if v in enclosed:
             raise EmbeddingError("a loop cannot enclose its own base")
-        inside_faces = set()
-        inside_isolated = set()
-        covered: set[int] = set()
-        for item in self.region_item_contents(region):
-            vs = item["vertices"]
-            if not vs & enclosed:
-                continue
-            if vs == {v}:
-                continue
-            if not vs <= enclosed:
+        items = [
+            it for it in self.region_item_contents(region) if it["vertices"] & enclosed
+        ]
+        for it in items:
+            if not it["vertices"] <= enclosed:
                 raise EmbeddingError(
-                    f"item with vertices {sorted(vs)} straddles the new loop"
+                    f"item with vertices {sorted(it['vertices'])} straddles the new loop"
                 )
-            covered |= vs
-            if item["face"] is None:
-                inside_isolated.update(vs)
-            else:
-                inside_faces.add(item["face"])
+        covered = set().union(*(it["vertices"] for it in items))
         if covered != enclosed:
             raise EmbeddingError(
                 f"vertices {sorted(enclosed - covered)} are not in this region"
             )
-        p, q = self._insert_arc(v, None, v, None)     # rotation [p, q]
-        self._register(arc_id, "loop", v, v, (p, q))
-        outer = self._regions[region]
-        outer["isolated"].discard(v)
-        outer["isolated"] -= inside_isolated
-        outer["faces"] -= inside_faces
-        outer["faces"].add(q)           # the q-side monogon stays outside
-        self._face_region[q] = region
-        new_region = {
-            "faces": inside_faces | {p},
-            "isolated": inside_isolated,
-        }
-        self._regions.append(new_region)
-        ridx = len(self._regions) - 1
-        self._face_region[p] = ridx
-        for fk in inside_faces:
-            self._face_region[fk] = ridx
+        p, q = self._add_arc(arc_id, "loop", v, None, v, None)     # rotation [p, q]
+        inside = self._n_regions
+        self._n_regions += 1
+        del self._region_of[v]
+        self._face_key[p], self._face_key[q] = p, q
+        self._face_region[p], self._face_region[q] = inside, region
+        for it in items:
+            if it["face"] is None:
+                self._region_of[min(it["vertices"])] = inside
+            else:
+                self._face_region[it["face"]] = inside
+        self._component[v] = {v}
+        self._behind[p] = frozenset(self.rotations) - enclosed
+        self._behind[q] = enclosed
 
-    def _register(self, arc_id: int, kind: str, u: int, w: int, darts) -> None:
+    def _add_arc(self, arc_id: int, kind: str, u: int, du, w: int, dw):
+        """Insert and record a new arc, rejecting a duplicate id first."""
         if arc_id in self.arcs:
             raise InputError(f"duplicate arc id {arc_id}")
-        self.arcs[arc_id] = Arc(id=arc_id, kind=kind, u=u, v=w, darts=tuple(darts))
+        p, q = self._insert_arc(u, du, w, dw)
+        self.arcs[arc_id] = Arc(id=arc_id, kind=kind, u=u, v=w, darts=(p, q))
+        return p, q
 
     def finalize(self) -> SphereMap:
-        regions = [
-            {"faces": sorted(r["faces"]), "isolated": sorted(r["isolated"])}
-            for r in self._regions
-        ]
+        regions = [{"faces": [], "isolated": []} for _ in range(self._n_regions)]
+        for fk, r in sorted(self._face_region.items()):
+            regions[r]["faces"].append(fk)
+        for v, r in sorted(self._region_of.items()):
+            regions[r]["isolated"].append(v)
         return SphereMap(self.rotations, self.arcs, self.cone, regions=regions)

@@ -288,6 +288,7 @@ def test_malformed_map_exits_2(mutate, message, tmp_path, capsys):
         ("a,b", "--subset entries must be arc ids, got 'a'"),
         ("1,,2", "--subset entries must be arc ids, got ''"),
         ("1,2x", "--subset entries must be arc ids, got '2x'"),
+        ("", "--subset entries must be arc ids, got ''"),
     ],
 )
 def test_verify_bad_subset_exits_2(subset, message, tmp_path, capsys):
