@@ -1,9 +1,11 @@
 """Command-line pipeline: simulate, prune, verify, and tabulate bounds.
 
 Exit codes: 0 everything verified, 1 a verification verdict failed,
-2 invalid input, 3 the input violates a geometric assumption of the
-growth process.  All emitted JSON is byte-identical across runs: keys
-sorted, floats at 9 significant digits, timings reported on stderr only.
+2 invalid input (map ids and darts must be JSON integers, uncoerced),
+3 the input violates a geometric assumption of the growth process, 4 an
+internal error (a bug; its traceback goes to stderr).  All emitted JSON
+is byte-identical across runs: keys sorted, floats at 9 significant
+digits, timings reported on stderr only.
 """
 
 from __future__ import annotations
@@ -11,11 +13,13 @@ from __future__ import annotations
 import argparse
 import sys
 import time
+import traceback
 
 from . import bounds, cover, growth, hypmodel, jacobian, jsonio, prune
 from . import spheremap as sphere
 from .errors import (
     BoundViolation,
+    ConstructionError,
     GeometricAssumptionViolated,
     HyperbasisError,
     InputError,
@@ -26,6 +30,7 @@ EXIT_OK = 0
 EXIT_VERIFICATION = 1
 EXIT_INPUT = 2
 EXIT_GEOMETRY = 3
+EXIT_INTERNAL = 4
 
 
 def _load_model(name: str, genus: int | None):
@@ -316,9 +321,15 @@ def main(argv=None) -> int:
     except (InputError, OSError) as e:
         print(f"invalid input: {e}", file=sys.stderr)
         return EXIT_INPUT
+    except ConstructionError:
+        traceback.print_exc()
+        return EXIT_INTERNAL
     except HyperbasisError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_INPUT
+    except Exception:  # a bug: never report it as a verdict or bad input
+        traceback.print_exc()
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

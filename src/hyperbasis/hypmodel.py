@@ -27,6 +27,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import EmbeddingError, InputError
+from .jsonio import json_int
 from .spheremap import MapBuilder, SphereMap
 
 __all__ = [
@@ -239,9 +240,7 @@ class SyntheticModel(MetricModel):
     def __init__(self, data: dict, name: str = "synthetic"):
         if not isinstance(data, dict):
             raise InputError("synthetic model must be a JSON object")
-        g = data.get("genus")
-        if not isinstance(g, int) or isinstance(g, bool):
-            raise InputError(f"genus must be an integer, got {g!r}")
+        g = json_int(data.get("genus"), "genus")
         if g < 2:
             raise InputError(f"genus must be >= 2, got {g}")
         self.genus = g
@@ -288,11 +287,7 @@ class SyntheticModel(MetricModel):
             )
 
         def integer(key, value):
-            if not isinstance(value, int) or isinstance(value, bool):
-                raise InputError(
-                    f"arc entry {idx}: {key!r} must be an integer, got {value!r}"
-                )
-            return value
+            return json_int(value, f"arc entry {idx}: {key!r}")
 
         def vertex(key):
             if key not in entry:

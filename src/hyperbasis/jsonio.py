@@ -1,9 +1,19 @@
-"""Deterministic JSON emission: sorted keys, floats at 9 significant digits."""
+"""Deterministic JSON emission: sorted keys, floats at 9 significant
+digits; and the integer check of JSON input."""
 
 from __future__ import annotations
 
 import json
 import math
+
+from .errors import InputError
+
+
+def json_int(x, what: str) -> int:
+    """``x`` if it is a JSON integer (a bool is not), else InputError."""
+    if not isinstance(x, int) or isinstance(x, bool):
+        raise InputError(f"{what} must be an integer, got {x!r}")
+    return x
 
 
 def round_floats(obj):

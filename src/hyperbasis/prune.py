@@ -15,9 +15,9 @@ bone, or, lacking bones, delete the outer boundary instead and pair with
 the inner loop; with no inner loops delete the outer boundary and pair
 with a bone; and with no loops left at all the graph is g+1 disjoint
 bones, one of which donates an edge to free two vertices.  Deleting a
-loop merges the two adjacent regions into the higher-numbered one, which
-is queued again.  Every choice point is resolved by smallest (or, for
-leaves, largest) id, so runs are reproducible.
+loop folds its child region into its parent, one level up; a region
+that absorbed a child is queued again.  Every choice point is resolved
+by smallest (or, for leaves, largest) id, so runs are reproducible.
 
 The result keeps at least ceil((2g+2)/3) arcs, every region of the
 complement contains an isolated vertex, and the lifted system passes the
@@ -26,6 +26,7 @@ double-cover independence oracle.
 
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass, field
 
@@ -133,17 +134,11 @@ def preliminary_steps(smap: SphereMap):
 
 @dataclass
 class _Region:
-    id: int
-    level: int
+    """What merges change in a region; the region tree holds the rest."""
+
     inner: set[int] = field(default_factory=set)      # inner boundary loop arcs
-    outer: int | None = None                          # outer boundary loop arc
     isolated: set[int] = field(default_factory=set)
     free_bones: dict[int, Component] = field(default_factory=dict)
-
-    def sort_key(self, smap: SphereMap) -> tuple:
-        loops = self.inner | ({self.outer} if self.outer is not None else set())
-        base = min((smap.arcs[a].base for a in loops), default=math.inf)
-        return (self.level, base)
 
 
 def prune(smap: SphereMap) -> PruneResult:
@@ -151,29 +146,28 @@ def prune(smap: SphereMap) -> PruneResult:
     deletion, returning the kept subgraph with its block decomposition."""
     input_isolated = len(smap.isolated)
     work, blocks, deleted, trace = preliminary_steps(smap)
-    blocks = list(blocks)
-    deleted = list(deleted)
-    trace = list(trace)
     paired_keys = {min(b.vertices) for b in blocks if b.arcs}
 
     tree = region_tree(work, set(work.arcs))
     comp_by_key = {c.key: c for c in work.components}
-    # region state from the fresh region tree
     regions: dict[int, _Region] = {}
     for nid, node in tree.nodes.items():
-        regions[nid] = _Region(id=nid, level=node.level)
-        regions[nid].isolated = set(node.isolated)
+        regions[nid] = _Region(isolated=set(node.isolated))
         for piece in node.pieces:
             comp = comp_by_key[min(piece.vertices)]
             if len(comp.edges) == 1 and comp.key not in paired_keys:
                 regions[nid].free_bones[comp.key] = comp
-    loop_sides = dict(tree.loop_sides)       # loop -> (child, parent)
-    for lam, (child, parent) in loop_sides.items():
-        regions[child].outer = lam
+    outer: dict[int, int] = {}
+    for lam, (child, parent) in tree.loop_sides.items():
+        outer[child] = lam
         regions[parent].inner.add(lam)
     paired_loops: set[int] = set()
-    alive = {a for a in work.arcs}
+    alive = set(work.arcs)
     g = smap.genus
+
+    def first_base(rid: int) -> float:
+        loops = regions[rid].inner | ({outer[rid]} if rid in outer else set())
+        return min((work.arcs[a].base for a in loops), default=math.inf)
 
     def pair_with_loop(lam: int, freed: int) -> None:
         if lam in paired_loops:
@@ -186,118 +180,112 @@ def prune(smap: SphereMap) -> PruneResult:
             Block(kind="paired", arcs=(lam,), vertices=(base,), isolated_vertex=freed)
         )
 
-    def pair_with_bone(region: _Region, freed: int) -> None:
-        if not region.free_bones:
+    def pair_with_bone(rid: int, freed: int) -> None:
+        bones = regions[rid].free_bones
+        if not bones:
             raise GeometricAssumptionViolated(
-                f"region {region.id} offers no bone to pair with"
+                f"region {rid} offers no bone to pair with"
             )
-        key = min(region.free_bones)
-        comp = region.free_bones.pop(key)
+        comp = bones.pop(min(bones))
         blocks.append(
             Block(kind="paired", arcs=comp.arcs, vertices=comp.vertices, isolated_vertex=freed)
         )
 
-    def merge(lam: int, low: _Region, high: _Region) -> _Region:
-        """Delete loop ``lam``; the lower region folds into the higher."""
+    def merge(lam: int) -> int:
+        """Delete loop ``lam``, folding its child region into its parent."""
+        child, parent = tree.loop_sides[lam]
+        low, high = regions.pop(child), regions[parent]
         alive.discard(lam)
         deleted.append(lam)
         high.inner.discard(lam)
-        low.inner.discard(lam)
         high.isolated |= low.isolated | {work.arcs[lam].base}
         high.free_bones.update(low.free_bones)
         high.inner |= low.inner
-        for mu in low.inner:
-            loop_sides[mu] = (loop_sides[mu][0], high.id)
-        high.level = max(high.level, low.level)
-        del regions[low.id]
-        unprocessed.discard(low.id)
-        return high
+        return parent
 
-    unprocessed = set(regions)
+    # A merge folds a region into its parent one level up, which keeps its
+    # id, level and outer loop; so processing a level changes no key at that
+    # level but the processed region's, and that region is queued again.
+    by_level: list[list[int]] = [[] for _ in range(tree.levels[tree.root] + 1)]
+    for rid, level in tree.levels.items():
+        by_level[level].append(rid)
     step = 0
-    while unprocessed:
-        rid = min(unprocessed, key=lambda r: regions[r].sort_key(work))
-        unprocessed.discard(rid)
-        region = regions[rid]
-        step += 1
-        entry = {"step": step, "region": rid, "level": region.level}
-        if region.isolated:
-            entry.update({"case": 1, "action": "skip"})
-            trace.append(entry)
-            continue
-        if len(region.inner) >= 2:
-            lam = min(region.inner, key=lambda a: work.arcs[a].base)
-            # pair with one of this region's own remaining inner loops;
-            # loops inherited from the absorbed child may already be paired
-            candidates = region.inner - {lam}
-            low = regions[loop_sides[lam][0]]
-            merged = merge(lam, low, region)
-            remaining = min(candidates, key=lambda a: work.arcs[a].base)
-            pair_with_loop(remaining, work.arcs[lam].base)
-            entry.update(
-                {"case": 2, "action": "drop-inner-loop", "arc": lam, "paired_loop": remaining}
-            )
-            trace.append(entry)
-            unprocessed.add(merged.id)
-            continue
-        if len(region.inner) == 1:
-            lam = next(iter(region.inner))
-            if region.free_bones:
-                low = regions[loop_sides[lam][0]]
-                merged = merge(lam, low, region)
-                freed = work.arcs[lam].base
-                entry.update({"case": 3, "action": "drop-inner-loop", "arc": lam})
-                pair_with_bone(merged, freed)
+    for level, rids in enumerate(by_level):
+        queue = [(first_base(rid), rid) for rid in rids]
+        heapq.heapify(queue)
+        while queue:
+            _, rid = heapq.heappop(queue)
+            region = regions[rid]
+            step += 1
+            entry = {"step": step, "region": rid, "level": level}
+            if region.isolated:
+                entry.update({"case": 1, "action": "skip"})
                 trace.append(entry)
-                unprocessed.add(merged.id)
                 continue
-            if region.outer is None:
-                raise GeometricAssumptionViolated(
-                    "outermost region has one inner loop, no bones, and no "
-                    "isolated vertex"
+            if len(region.inner) >= 2:
+                lam = min(region.inner, key=lambda a: work.arcs[a].base)
+                # pair with one of this region's own remaining inner loops;
+                # loops inherited from the absorbed child may already be paired
+                candidates = region.inner - {lam}
+                merge(lam)
+                remaining = min(candidates, key=lambda a: work.arcs[a].base)
+                pair_with_loop(remaining, work.arcs[lam].base)
+                entry.update(
+                    {"case": 2, "action": "drop-inner-loop", "arc": lam, "paired_loop": remaining}
                 )
-            pi = region.outer
-            high = regions[loop_sides[pi][1]]
-            merged = merge(pi, region, high)
-            pair_with_loop(lam, work.arcs[pi].base)
-            entry.update(
-                {"case": 4, "action": "drop-outer-loop", "arc": pi, "paired_loop": lam}
-            )
-            trace.append(entry)
-            unprocessed.add(merged.id)
-            continue
-        if region.outer is not None:
-            pi = region.outer
-            if not region.free_bones:
-                raise GeometricAssumptionViolated(
-                    f"disk region {rid} holds no cone points; not realizable "
-                    "by disk growth on a hyperbolic cone sphere"
+                trace.append(entry)
+                heapq.heappush(queue, (first_base(rid), rid))
+                continue
+            pi = outer.get(rid)
+            if len(region.inner) == 1:
+                lam = next(iter(region.inner))
+                if region.free_bones:
+                    merge(lam)
+                    entry.update({"case": 3, "action": "drop-inner-loop", "arc": lam})
+                    pair_with_bone(rid, work.arcs[lam].base)
+                    trace.append(entry)
+                    heapq.heappush(queue, (first_base(rid), rid))
+                    continue
+                if pi is None:
+                    raise GeometricAssumptionViolated(
+                        "outermost region has one inner loop, no bones, and no "
+                        "isolated vertex"
+                    )
+                merge(pi)
+                pair_with_loop(lam, work.arcs[pi].base)
+                entry.update(
+                    {"case": 4, "action": "drop-outer-loop", "arc": pi, "paired_loop": lam}
                 )
-            high = regions[loop_sides[pi][1]]
-            freed = work.arcs[pi].base
-            merged = merge(pi, region, high)
-            entry.update({"case": 5, "action": "drop-outer-loop", "arc": pi})
-            pair_with_bone(merged, freed)
+                trace.append(entry)
+                continue
+            if pi is not None:
+                if not region.free_bones:
+                    raise GeometricAssumptionViolated(
+                        f"disk region {rid} holds no cone points; not realizable "
+                        "by disk growth on a hyperbolic cone sphere"
+                    )
+                parent = merge(pi)
+                entry.update({"case": 5, "action": "drop-outer-loop", "arc": pi})
+                pair_with_bone(parent, work.arcs[pi].base)
+                trace.append(entry)
+                continue
+            # the whole sphere: only disjoint bones can remain
+            bones = region.free_bones
+            bone_arcs = {a for c in bones.values() for a in c.arcs}
+            if bone_arcs != alive or len(bones) != g + 1:
+                raise GeometricAssumptionViolated(
+                    f"sphere-level state is not {g + 1} disjoint bones"
+                )
+            drop_key = min(bones, key=lambda k: bones[k].arcs[0])
+            drop = bones.pop(drop_key)
+            alive.discard(drop.arcs[0])
+            deleted.append(drop.arcs[0])
+            freed = sorted(drop.vertices)
+            region.isolated |= set(freed)
+            entry.update({"case": 6, "action": "drop-bone-edge", "arc": drop.arcs[0]})
             trace.append(entry)
-            unprocessed.add(merged.id)
-            continue
-        # the whole sphere: only disjoint bones can remain
-        bones = region.free_bones
-        bone_arcs = {a for c in bones.values() for a in c.arcs}
-        if bone_arcs != set(alive) or len(bones) != g + 1:
-            raise GeometricAssumptionViolated(
-                f"sphere-level state is not {g + 1} disjoint bones"
-            )
-        drop_key = min(bones, key=lambda k: bones[k].arcs[0])
-        drop = bones.pop(drop_key)
-        alive.discard(drop.arcs[0])
-        deleted.append(drop.arcs[0])
-        freed = sorted(drop.vertices)
-        region.isolated |= set(freed)
-        entry.update({"case": 6, "action": "drop-bone-edge", "arc": drop.arcs[0]})
-        trace.append(entry)
-        for v in freed:
-            pair_with_bone(region, v)
+            for v in freed:
+                pair_with_bone(rid, v)
 
     # leftover free components become singleton blocks
     in_blocks = {a for b in blocks for a in b.arcs}

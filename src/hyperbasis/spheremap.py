@@ -31,6 +31,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 from .errors import EmbeddingError, InputError
+from .jsonio import json_int
 
 __all__ = [
     "ComponentKind",
@@ -482,7 +483,11 @@ class SphereMap(RotationSystem):
 
 
 def from_json(data) -> SphereMap:
-    """Build and validate a SphereMap from its JSON description."""
+    """Build and validate a SphereMap from its JSON description.
+
+    Ids and darts must be JSON integers, ``cone`` a JSON boolean, and
+    vertex and arc ids unique; nothing is coerced.
+    """
     if isinstance(data, str):
         try:
             data = json.loads(data)
@@ -493,18 +498,25 @@ def from_json(data) -> SphereMap:
     try:
         rotations = {}
         cone = {}
-        for v in data["vertices"]:
-            rotations[int(v["id"])] = [int(d) for d in v["rotation"]]
-            cone[int(v["id"])] = bool(v.get("cone", True))
+        for i, v in enumerate(data["vertices"]):
+            vid = json_int(v["id"], f"vertices[{i}].id")
+            if vid in rotations:
+                raise InputError(f"vertices[{i}] repeats vertex id {vid}")
+            rotations[vid] = _json_ints(v["rotation"], f"vertices[{i}].rotation")
+            cone[vid] = v.get("cone", True)
+            if not isinstance(cone[vid], bool):
+                raise InputError(f"vertices[{i}].cone must be a boolean, got {cone[vid]!r}")
         owner = {d: v for v, rot in rotations.items() for d in rot}
-        entries = [
-            (int(a["id"]), a["kind"], tuple(int(x) for x in a["darts"]))
-            for a in data["arcs"]
-        ]
-    except (KeyError, TypeError, ValueError) as e:
+        entries = {}
+        for i, a in enumerate(data["arcs"]):
+            aid = json_int(a["id"], f"arcs[{i}].id")
+            if aid in entries:
+                raise InputError(f"arcs[{i}] repeats arc id {aid}")
+            entries[aid] = (a["kind"], tuple(_json_ints(a["darts"], f"arcs[{i}].darts")))
+    except (KeyError, TypeError) as e:
         raise InputError(f"malformed map description: {e}") from e
     arcs = {}
-    for aid, kind, darts in entries:
+    for aid, (kind, darts) in entries.items():
         if kind not in ("edge", "loop"):
             raise InputError(f"arc {aid}: kind must be edge or loop, got {kind!r}")
         if len(darts) != 2:
@@ -517,13 +529,24 @@ def from_json(data) -> SphereMap:
     regions = data.get("regions")
     if regions is not None:
         _check_regions(regions)
+    genus = data.get("genus")
     return SphereMap(
         rotations,
         arcs,
         cone,
-        genus=data.get("genus"),
+        genus=None if genus is None else json_int(genus, "genus"),
         regions=regions,
     )
+
+
+def _json_ints(items, what: str) -> list[int]:
+    """``items`` if it is a list of JSON integers, else InputError."""
+    if not isinstance(items, list):
+        raise InputError(f"{what} must be a list, got {items!r}")
+    for x in items:
+        if not isinstance(x, int) or isinstance(x, bool):
+            raise InputError(f"{what} must hold integers, got {x!r}")
+    return items
 
 
 def _check_regions(regions) -> None:
@@ -535,14 +558,7 @@ def _check_regions(regions) -> None:
         if not isinstance(r, dict):
             raise InputError(f"regions[{i}] must be an object, got {r!r}")
         for key in ("faces", "isolated"):
-            items = r.get(key, [])
-            if not isinstance(items, list):
-                raise InputError(f"regions[{i}].{key} must be a list, got {items!r}")
-            for x in items:
-                if not isinstance(x, int) or isinstance(x, bool):
-                    raise InputError(
-                        f"regions[{i}].{key} must hold integers, got {x!r}"
-                    )
+            _json_ints(r.get(key, []), f"regions[{i}].{key}")
 
 
 # -- component classification ----------------------------------------
@@ -568,15 +584,12 @@ class _Piece:
     removing loop base vertices; hangs off at most one loop base."""
 
     vertices: tuple[int, ...]
-    arcs: tuple[int, ...]
     attach_base: int | None
-    node: int
 
 
 @dataclass
 class RegionNode:
     id: int
-    level: int = 0
     boundary: list[int] = field(default_factory=list)    # loop arc ids
     isolated: list[int] = field(default_factory=list)    # subgraph-isolated cone vertices
     pieces: list[_Piece] = field(default_factory=list)
@@ -585,7 +598,6 @@ class RegionNode:
 @dataclass
 class RegionTree:
     smap: SphereMap
-    subgraph: frozenset[int]
     nodes: dict[int, RegionNode]
     loop_sides: dict[int, tuple[int, int]]   # loop arc -> (child node, parent node)
     root: int
@@ -615,14 +627,6 @@ class RegionTree:
         for v in node.isolated:
             units.append((f"vertex:{v}", 1))
         return units
-
-    def census(self, node_id: int) -> int:
-        """Every cone point counted once from this region's viewpoint."""
-        node = self.nodes[node_id]
-        total = sum(1 + self._beyond(lam, node_id) for lam in node.boundary)
-        total += sum(len(p.vertices) for p in node.pieces)
-        total += len(node.isolated)
-        return total
 
     def _beyond(self, lam: int, node_id: int) -> int:
         """Cone points strictly on the far side of ``lam`` seen from the
@@ -702,14 +706,12 @@ def region_tree(smap: SphereMap, subgraph) -> RegionTree:
                 puf.add(x)
         if a.u not in bases and a.v not in bases:
             puf.union(a.u, a.v)
-    piece_arcs: dict[int, list[int]] = {}
     piece_base: dict[int, int] = {}
     piece_node: dict[int, int] = {}
     for aid in sorted(edge_arcs):
         a = smap.arcs[aid]
         free = [x for x in (a.u, a.v) if x not in bases]
         root = puf.find(free[0])
-        piece_arcs.setdefault(root, []).append(aid)
         for x in (a.u, a.v):
             if x in bases:
                 if piece_base.get(root, x) != x:
@@ -718,19 +720,13 @@ def region_tree(smap: SphereMap, subgraph) -> RegionTree:
                 # the stem dart at the base determines the side of the loop
                 stem = a.darts[0] if a.u == x else a.darts[1]
                 piece_node[root] = node_of_region(smap.corner_region(stem))
-    piece_vertices = puf.classes()
-    for root, arcs_ in piece_arcs.items():
-        verts = tuple(sorted(piece_vertices[root]))
+    for root, verts in puf.classes().items():
         if root not in piece_node:
-            d0 = smap.arcs[arcs_[0]].darts[0]
-            piece_node[root] = node_of_region(smap.corner_region(d0))
-        piece = _Piece(
-            vertices=verts,
-            arcs=tuple(sorted(arcs_)),
-            attach_base=piece_base.get(root),
-            node=piece_node[root],
-        )
-        nodes[piece.node].pieces.append(piece)
+            # all corners at a vertex off the loop bases lie in one node
+            corner = smap.rotations[root][0]
+            piece_node[root] = node_of_region(smap.corner_region(corner))
+        piece = _Piece(tuple(sorted(verts)), piece_base.get(root))
+        nodes[piece_node[root]].pieces.append(piece)
 
     for n in nodes.values():
         n.boundary.sort()
@@ -764,11 +760,8 @@ def region_tree(smap: SphereMap, subgraph) -> RegionTree:
     }
     for child, parent in reversed(loop_sides.values()):
         below[parent] += below[child] + 1      # + the base of the joining loop
-    for n, node in nodes.items():
-        node.level = levels[n]
     return RegionTree(
         smap=smap,
-        subgraph=sub,
         nodes=nodes,
         loop_sides=loop_sides,
         root=root,

@@ -1,10 +1,21 @@
+import contextlib
+import copy
+import importlib
+import io
 import json
 import math
+import random
+import sys
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from hyperbasis import cli, families
+from hyperbasis import cli, cover, families, prune
+from hyperbasis.errors import ConstructionError
 from mapfactory import bones, sibling_loops
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
 def run(argv, capsys):
@@ -272,6 +283,18 @@ def block4_with(mutate):
         (lambda d: d["arcs"][0].update(kind=None), "arc 1: kind must be edge or loop, got None"),
         (lambda d: d["arcs"][1].update(darts=[2, 99]), "arc 2 uses unknown dart 99"),
         (lambda d: d["arcs"][1].update(darts=[2]), "arc 2: darts must list two darts"),
+        (lambda d: d["vertices"][0].update(cone="false"), "vertices[0].cone must be a boolean, got 'false'"),
+        (lambda d: d["vertices"][0].update(cone=1), "vertices[0].cone must be a boolean, got 1"),
+        (lambda d: d["vertices"][2].update(id=1.7), "vertices[2].id must be an integer, got 1.7"),
+        (lambda d: d["vertices"][2].update(id="3"), "vertices[2].id must be an integer, got '3'"),
+        (lambda d: d["vertices"][1].update(rotation=[2.0]), "vertices[1].rotation must hold integers, got 2.0"),
+        (lambda d: d["vertices"][1].update(rotation=7), "vertices[1].rotation must be a list, got 7"),
+        (lambda d: d["arcs"][0].update(id=True), "arcs[0].id must be an integer, got True"),
+        (lambda d: d["arcs"][0].update(darts=[0, "1"]), "arcs[0].darts must hold integers, got '1'"),
+        (lambda d: d["vertices"].append(dict(d["vertices"][11])), "vertices[12] repeats vertex id 12"),
+        (lambda d: d["arcs"].append(dict(d["arcs"][7])), "arcs[8] repeats arc id 8"),
+        (lambda d: d.update(genus=5.0), "genus must be an integer, got 5.0"),
+        (lambda d: d.update(genus="5"), "genus must be an integer, got '5'"),
     ],
 )
 def test_malformed_map_exits_2(mutate, message, tmp_path, capsys):
@@ -298,3 +321,121 @@ def test_verify_bad_subset_exits_2(subset, message, tmp_path, capsys):
     assert code == 2
     assert out == ""
     assert message in err
+
+
+def test_construction_error_exits_4(monkeypatch, tmp_path, capsys):
+    def broken(*args):
+        raise ConstructionError("lift table out of step")
+
+    monkeypatch.setattr(cover, "build_cover", broken)
+    path = tmp_path / "fam.json"
+    path.write_text(families.block_family(4).to_json())
+    code, out, err = run(["verify", "--map", str(path)], capsys)
+    assert code == 4
+    assert out == ""
+    assert "Traceback" in err
+    assert "ConstructionError: lift table out of step" in err
+
+
+def test_unexpected_exception_exits_4(monkeypatch, tmp_path, capsys):
+    def broken(smap):
+        raise RuntimeError("prune fell over")
+
+    monkeypatch.setattr(prune, "prune", broken)
+    path = tmp_path / "fam.json"
+    path.write_text(families.block_family(4).to_json())
+    code, out, err = run(["prune", "--map", str(path)], capsys)
+    assert code == 4
+    assert out == ""
+    assert "Traceback" in err
+    assert "RuntimeError: prune fell over" in err
+
+
+# -- mutated inputs only ever exit with a documented input-side code -------
+
+JSON_VALUES = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers(-3, 40)
+    | st.floats(0, 5)
+    | st.just(math.nan)
+    | st.sampled_from(["", "1", "false", "loop"]),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.sampled_from(["id", "kind", "i", "faces"]), inner, max_size=2),
+    max_leaves=4,
+)
+
+
+def json_paths(doc, prefix=()):
+    """Every (container path, key) of a JSON document, outermost first."""
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc) if isinstance(doc, list) else ()
+    for key, value in items:
+        yield prefix + (key,)
+        yield from json_paths(value, prefix + (key,))
+
+
+@st.composite
+def mutated(draw, doc):
+    """``doc`` with one to three entries replaced, deleted or repeated."""
+    doc = copy.deepcopy(doc)
+    for _ in range(draw(st.integers(1, 3))):
+        paths = list(json_paths(doc))
+        if not paths:
+            break
+        *head, key = draw(st.sampled_from(paths))
+        parent = doc
+        for k in head:
+            parent = parent[k]
+        action = draw(st.sampled_from(["replace", "delete", "repeat"]))
+        if action == "delete":
+            del parent[key]
+        elif action == "repeat" and isinstance(parent, list):
+            parent.insert(key, copy.deepcopy(parent[key]))
+        else:
+            parent[key] = draw(JSON_VALUES)
+    return doc
+
+
+def run_quiet(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    return code, err.getvalue()
+
+
+@pytest.fixture(scope="module")
+def scratch(tmp_path_factory):
+    return tmp_path_factory.mktemp("mutated")
+
+
+@pytest.fixture(scope="module")
+def nested_model():
+    sys.path.insert(0, str(PERFBENCH))
+    try:
+        gen = importlib.import_module("gen")
+    finally:
+        sys.path.remove(str(PERFBENCH))
+    return gen.nested_arrangement(random.Random(3), 10)[1]
+
+
+BLOCK3 = families.block_family(3).to_dict()
+
+
+@settings(max_examples=200, deadline=None)
+@given(doc=mutated(BLOCK3), command=st.sampled_from(["prune", "verify"]))
+def test_mutated_map_exits_with_documented_code(doc, command, scratch):
+    path = scratch / "map.json"
+    path.write_text(json.dumps(doc))
+    code, err = run_quiet([command, "--map", str(path)])
+    assert code in (0, 1, 2, 3), err
+    assert "Traceback" not in err
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_mutated_model_exits_with_documented_code(data, nested_model, scratch):
+    path = scratch / "model.json"
+    path.write_text(json.dumps(data.draw(mutated(nested_model))))
+    code, err = run_quiet(["pipeline", "--model", str(path)])
+    assert code in (0, 1, 2, 3), err
+    assert "Traceback" not in err

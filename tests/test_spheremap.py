@@ -167,7 +167,7 @@ def test_units_and_census():
     m = families.block_family(2)
     tree = sm.region_tree(m, m.arcs.keys())
     for nid in tree.nodes:
-        assert tree.census(nid) == 6
+        assert sum(c for _, c in tree.units(nid)) == 6
     disk_units = {
         frozenset(c for _, c in tree.units(nid)) for nid in tree.nodes
     }
@@ -400,7 +400,9 @@ def region_tree_cases():
 def test_region_tree_counts_match_breadth_first_walks():
     for m, sub in region_tree_cases():
         tree = sm.region_tree(m, sub)
-        got = {n: (tree.units(n), tree.census(n)) for n in tree.nodes}
+        got = {n: tree.units(n) for n in tree.nodes}
         tree._beyond = lambda lam, node_id, t=tree: bfs_beyond(t, lam, node_id)
-        want = {n: (tree.units(n), tree.census(n)) for n in tree.nodes}
+        want = {n: tree.units(n) for n in tree.nodes}
         assert got == want
+        for units in want.values():
+            assert sum(c for _, c in units) == len(m.rotations)
