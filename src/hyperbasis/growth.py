@@ -20,7 +20,6 @@ every candidate, so a run with n cone points costs O(n^3) table reads.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import asdict, dataclass
 
@@ -34,7 +33,6 @@ __all__ = [
     "verify_radius_bounds",
     "arc_graph",
     "log_to_dict",
-    "log_from_dict",
 ]
 
 _TIE_REL = 1e-9
@@ -261,33 +259,3 @@ def log_to_dict(log: GrowthLog) -> dict:
         "events": [asdict(ev) for ev in log.events],
     }
 
-
-def log_from_dict(data) -> GrowthLog:
-    if isinstance(data, str):
-        try:
-            data = json.loads(data)
-        except json.JSONDecodeError as e:
-            raise InputError(f"bad growth log JSON: {e}") from e
-    try:
-        events = [
-            GrowthEvent(
-                m=int(ev["m"]),
-                kind=str(ev["kind"]),
-                i=int(ev["i"]),
-                j=None if ev.get("j") is None else int(ev["j"]),
-                other_frozen=bool(ev.get("other_frozen", False)),
-                r=float(ev["r"]),
-                k=int(ev["k"]),
-                j_before=int(ev["j_before"]),
-            )
-            for ev in data["events"]
-        ]
-        log = GrowthLog(
-            genus=int(data["genus"]),
-            model=str(data.get("model", "?")),
-            events=events,
-        )
-    except (KeyError, TypeError, ValueError) as e:
-        raise InputError(f"malformed growth log: {e}") from e
-    log.validate()
-    return log

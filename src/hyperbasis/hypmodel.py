@@ -199,19 +199,17 @@ class RegularDoubledPolygonModel(MetricModel):
         return math.acos(cosg)
 
     def loop_radius(self, i: int) -> float:
+        """Distance to the nearest non-incident side.  The polygon is
+        convex and regular, so that side is one of the two next to the
+        sides at the vertex: sides ``i`` and ``i - 3`` (mod n), where
+        side k joins polygon vertices k and k + 1."""
         self._check_vertex(i)
         n = self.n_points
         p = self.vertices[i - 1]
-        best = math.inf
-        for k in range(n):
-            u, w = k, (k + 1) % n
-            if (i - 1) in (u, w):
-                continue
-            best = min(
-                best,
-                _point_segment_distance(p, self.vertices[u], self.vertices[w]),
-            )
-        return best
+        return min(
+            _point_segment_distance(p, self.vertices[k % n], self.vertices[(k + 1) % n])
+            for k in (i, i + n - 3)
+        )
 
     def realize_arc(self, event) -> ArcEmbedding:
         if event.kind != "pair":

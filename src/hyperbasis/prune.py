@@ -337,9 +337,7 @@ def verify(result: PruneResult, smap: SphereMap) -> dict:
     basis = cover.is_partial_basis(final, kept)
     if not basis:
         raise VerificationFailure("cover oracle reports a separating system")
-    parity = all(
-        region_admits_odd_curve(final, kept, n, tree) for n in tree.nodes
-    )
+    parity = all(region_admits_odd_curve(tree, n) for n in tree.nodes)
     if not parity:
         raise VerificationFailure("parity test reports a separating system")
     return {

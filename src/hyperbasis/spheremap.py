@@ -581,7 +581,8 @@ def classify_components(smap: SphereMap) -> list[ComponentKind]:
 @dataclass
 class _Piece:
     """Maximal connected chunk of the subgraph's non-loop arcs after
-    removing loop base vertices; hangs off at most one loop base."""
+    removing loop base vertices; hangs off a loop base by at most one
+    stem edge."""
 
     vertices: tuple[int, ...]
     attach_base: int | None
@@ -614,18 +615,21 @@ class RegionTree:
         one per isolated vertex.
         """
         node = self.nodes[node_id]
-        units: list[tuple[str, int]] = []
-        for lam in node.boundary:
-            count = 1 + self._beyond(lam, node_id)
-            for p in node.pieces:
-                if p.attach_base is not None and p.attach_base == self.smap.arcs[lam].base:
-                    count += len(p.vertices)
-            units.append((f"loop:{lam}", count))
+        hanging: dict[int, int] = {}     # base -> vertices of its branches here
         for p in node.pieces:
-            if p.attach_base is None:
-                units.append((f"piece:{min(p.vertices)}", len(p.vertices)))
-        for v in node.isolated:
-            units.append((f"vertex:{v}", 1))
+            if p.attach_base is not None:
+                hanging[p.attach_base] = hanging.get(p.attach_base, 0) + len(p.vertices)
+        arcs = self.smap.arcs
+        units = [
+            (f"loop:{lam}", 1 + self._beyond(lam, node_id) + hanging.get(arcs[lam].base, 0))
+            for lam in node.boundary
+        ]
+        units += [
+            (f"piece:{min(p.vertices)}", len(p.vertices))
+            for p in node.pieces
+            if p.attach_base is None
+        ]
+        units += [(f"vertex:{v}", 1) for v in node.isolated]
         return units
 
     def _beyond(self, lam: int, node_id: int) -> int:
@@ -642,25 +646,56 @@ def region_tree(smap: SphereMap, subgraph) -> RegionTree:
     """Regions of the sphere minus the loop arcs of ``subgraph``, with
     their nesting levels and interior contents.
 
-    The subgraph's components must classify as loops, trees, looped
-    trees, or isolated vertices.
+    The subgraph's components must be growth-shaped: loops, trees,
+    looped trees, or isolated vertices.  Its pieces (the components of
+    its edges after removing the loop bases) show this: a component is
+    growth-shaped exactly when its loops have distinct bases, no edge
+    joins two bases, no edge closes a cycle inside a piece, and no piece
+    has two stems (edges to a base).
     """
+    arcs = smap.arcs
     sub = frozenset(int(a) for a in subgraph)
     for aid in sub:
-        if aid not in smap.arcs:
+        if aid not in arcs:
             raise InputError(f"unknown arc id {aid}")
-    kinds = classify_arcs(smap, sub)
-    if any(k is ComponentKind.INVALID for k in kinds.values()):
-        raise InputError("subgraph has a component outside the growth shapes")
-    loop_arcs = sorted(a for a in sub if smap.arcs[a].kind == "loop")
-    bases = {smap.arcs[a].base for a in loop_arcs}
+    bad_shape = InputError("subgraph has a component outside the growth shapes")
+    ordered = sorted(sub)
+    loop_arcs = [a for a in ordered if arcs[a].kind == "loop"]
+    bases = {arcs[a].base for a in loop_arcs}
     if len(bases) != len(loop_arcs):
-        raise InputError("two subgraph loops share a base vertex")
+        raise bad_shape
+    puf = _UnionFind()
+    stems = []                     # (base, stem dart at the base, piece vertex)
+    for aid in ordered:
+        a = arcs[aid]
+        if a.kind != "edge":
+            continue
+        if a.u in bases and a.v in bases:
+            raise bad_shape
+        if a.u in bases:
+            stems.append((a.u, a.darts[0], a.v))
+            puf.add(a.v)
+        elif a.v in bases:
+            stems.append((a.v, a.darts[1], a.u))
+            puf.add(a.u)
+        else:
+            puf.add(a.u)
+            puf.add(a.v)
+            if puf.find(a.u) == puf.find(a.v):
+                raise bad_shape
+            puf.union(a.u, a.v)
+    piece_stem: dict[int, tuple[int, int]] = {}     # piece root -> (base, stem)
+    for base, stem, x in stems:
+        root = puf.find(x)
+        if root in piece_stem:
+            raise bad_shape
+        piece_stem[root] = (base, stem)
 
     # merge map regions across every arc that is not a subgraph loop
+    loop_set = set(loop_arcs)
     uf = _UnionFind(range(len(smap.regions)))
-    for aid in smap.arcs:
-        if aid not in loop_arcs:
+    for aid in arcs:
+        if aid not in loop_set:
             r1, r2 = smap.side_regions(aid)
             uf.union(r1, r2)
     roots = sorted({uf.find(r) for r in range(len(smap.regions))})
@@ -685,7 +720,7 @@ def region_tree(smap: SphereMap, subgraph) -> RegionTree:
     # isolated-in-subgraph cone vertices
     sub_degree = {v: 0 for v in smap.rotations}
     for aid in sub:
-        a = smap.arcs[aid]
+        a = arcs[aid]
         sub_degree[a.u] += 1
         sub_degree[a.v] += 1
     for v in sorted(smap.rotations):
@@ -696,37 +731,12 @@ def region_tree(smap: SphereMap, subgraph) -> RegionTree:
                 r = smap.region_of_isolated[v]
             nodes[node_of_region(r)].isolated.append(v)
 
-    # pieces: components of the subgraph's non-loop arcs minus loop bases
-    edge_arcs = [a for a in sub if smap.arcs[a].kind == "edge"]
-    puf = _UnionFind()
-    for aid in edge_arcs:
-        a = smap.arcs[aid]
-        for x in (a.u, a.v):
-            if x not in bases:
-                puf.add(x)
-        if a.u not in bases and a.v not in bases:
-            puf.union(a.u, a.v)
-    piece_base: dict[int, int] = {}
-    piece_node: dict[int, int] = {}
-    for aid in sorted(edge_arcs):
-        a = smap.arcs[aid]
-        free = [x for x in (a.u, a.v) if x not in bases]
-        root = puf.find(free[0])
-        for x in (a.u, a.v):
-            if x in bases:
-                if piece_base.get(root, x) != x:
-                    raise InputError("piece hangs off two loop bases")
-                piece_base[root] = x
-                # the stem dart at the base determines the side of the loop
-                stem = a.darts[0] if a.u == x else a.darts[1]
-                piece_node[root] = node_of_region(smap.corner_region(stem))
     for root, verts in puf.classes().items():
-        if root not in piece_node:
-            # all corners at a vertex off the loop bases lie in one node
-            corner = smap.rotations[root][0]
-            piece_node[root] = node_of_region(smap.corner_region(corner))
-        piece = _Piece(tuple(sorted(verts)), piece_base.get(root))
-        nodes[piece_node[root]].pieces.append(piece)
+        # a stem dart determines its side of the loop; all corners at a
+        # vertex off the loop bases lie in one node
+        base, corner = piece_stem.get(root, (None, smap.rotations[root][0]))
+        piece = _Piece(tuple(sorted(verts)), base)
+        nodes[node_of_region(smap.corner_region(corner))].pieces.append(piece)
 
     for n in nodes.values():
         n.boundary.sort()
@@ -770,11 +780,9 @@ def region_tree(smap: SphereMap, subgraph) -> RegionTree:
     )
 
 
-def region_admits_odd_curve(smap: SphereMap, subgraph, node_id: int, tree: RegionTree | None = None) -> bool:
+def region_admits_odd_curve(tree: RegionTree, node_id: int) -> bool:
     """Whether the region contains a simple closed curve cutting the cone
     points into two odd halves: true iff some unit count is odd."""
-    if tree is None:
-        tree = region_tree(smap, subgraph)
     return any(count % 2 == 1 for _, count in tree.units(node_id))
 
 
@@ -782,9 +790,7 @@ def is_nonseparating(smap: SphereMap, subgraph) -> bool:
     """Parity test: the lifted curve system leaves the double connected
     iff every region admits an odd-separating curve."""
     tree = region_tree(smap, subgraph)
-    return all(
-        region_admits_odd_curve(smap, subgraph, n, tree) for n in tree.nodes
-    )
+    return all(region_admits_odd_curve(tree, n) for n in tree.nodes)
 
 
 # -- incremental construction in growth order ------------------------

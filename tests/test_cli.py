@@ -91,6 +91,18 @@ def test_pipeline_with_lambda(tmp_path, capsys):
     assert len(report["jacobian"]) == 2    # ceil(0.9 * 2/3 * 3)
 
 
+def test_parsed_values_do_not_leak_between_calls(tmp_path, capsys):
+    """One parser serves every call in the process."""
+    out = tmp_path / "r.json"
+    code, _, _ = run(
+        ["pipeline", "--genus", "3", "--lambda", "0.5", "--out", str(out)], capsys
+    )
+    assert code == 0
+    assert "jacobian" in json.loads(out.read_text())
+    assert run(["pipeline", "--genus", "3", "--out", str(out)], capsys)[0] == 0
+    assert "jacobian" not in json.loads(out.read_text())
+
+
 def test_pipeline_bad_model_exits_3(tmp_path, capsys):
     bad = tmp_path / "badmap.json"
     bad.write_text(sibling_loops(8).to_json())

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import pytest
@@ -153,14 +154,19 @@ def test_arc_graph_regular_path():
 def test_log_roundtrip_and_validation():
     m = hypmodel.regular_model(3)
     log = growth.simulate(m)
-    back = growth.log_from_dict(growth.log_to_dict(log))
+    data = growth.log_to_dict(log)
+    back = growth.GrowthLog(
+        genus=data["genus"],
+        model=data["model"],
+        events=[growth.GrowthEvent(**ev) for ev in data["events"]],
+    )
     assert back == log
+    back.validate()
     with pytest.raises(InputError):
-        growth.log_from_dict({"genus": 3, "events": []})
-    mangled = growth.log_to_dict(log)
-    mangled["events"][0]["k"] = 1
+        growth.GrowthLog(genus=3, model="?", events=[]).validate()
+    mangled = dataclasses.replace(log.events[0], k=1)
     with pytest.raises(InputError):
-        growth.log_from_dict(mangled)
+        growth.GrowthLog(log.genus, log.model, [mangled] + log.events[1:]).validate()
 
 
 def test_missing_arc_descriptor():

@@ -4,7 +4,7 @@ import pytest
 
 from hyperbasis import hypmodel
 from hyperbasis.errors import EmbeddingError, InputError
-from hyperbasis.hypmodel import _dist, _mdot
+from hyperbasis.hypmodel import _dist, _mdot, _point_segment_distance
 
 
 def reflect(x, u, v):
@@ -96,6 +96,28 @@ def test_loop_radius_reflection_oracle(g):
             best = min(best, _dist(p, reflect(p, u, v)) / 2.0)
         assert m.loop_radius(i) == pytest.approx(best, abs=1e-9)
         assert m.loop_radius(i) > 0
+
+
+def full_scan_loop_radius(m, i):
+    """Distance from vertex i to every non-incident side, minimised."""
+    n = m.n_points
+    p = m.vertices[i - 1]
+    best = math.inf
+    for k in range(n):
+        u, w = k, (k + 1) % n
+        if (i - 1) in (u, w):
+            continue
+        best = min(best, _point_segment_distance(p, m.vertices[u], m.vertices[w]))
+    return best
+
+
+def test_loop_radius_matches_full_side_scan():
+    """``loop_radius`` measures only the two sides next to the incident
+    ones; the scan over every side agrees to the last bit."""
+    for g in range(2, 61):
+        m = hypmodel.regular_model(g)
+        for i in range(1, m.n_points + 1):
+            assert m.loop_radius(i).hex() == full_scan_loop_radius(m, i).hex()
 
 
 def test_loop_radius_g2_equals_side():

@@ -183,7 +183,7 @@ def test_parity_examples():
     assert sm.is_nonseparating(m2, m2.arcs.keys())
     tree = sm.region_tree(m2, m2.arcs.keys())
     (nid,) = tree.nodes
-    assert sm.region_admits_odd_curve(m2, m2.arcs.keys(), nid)
+    assert sm.region_admits_odd_curve(tree, nid)
     # empty subgraph: the bare vertices already provide odd units
     assert sm.is_nonseparating(m2, [])
 
