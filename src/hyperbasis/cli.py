@@ -132,6 +132,7 @@ def _blocks_payload(result: prune.PruneResult) -> list[dict]:
 def cmd_prune(args) -> int:
     with open(args.map, "r", encoding="utf-8") as fh:
         smap = sphere.from_json(fh.read())
+    bounds.kappa(smap.genus)            # reject a genus outside the domain before pruning
     result = prune.prune(smap)
     report = prune.verify(result, smap)
     payload = {

@@ -4,12 +4,12 @@ Given an arrangement and a designated arc system H, the sphere is first
 refined into one connected cell complex: scaffold edges chain the pieces
 of every region together, and extra chords are inserted until the
 complex stays connected after removing H's arcs.  The complex is a
-``spheremap.RotationSystem``; the chords come from a single pass over a
-queue of faces ordered by smallest dart, with one union-find that only
-ever merges.  A branch-cut set B is
-then chosen inside the non-H edges with odd degree exactly at the cone
-vertices (a T-join), so that a walk crossing B an odd number of times
-encircles an odd number of cone points.
+``spheremap.RotationSystem``; the chords come from one queue of faces
+ordered by smallest dart, where a split face keeps its table and only
+the smaller half is walked again.  A branch-cut set B is then chosen
+inside the non-H edges with odd degree exactly at the cone vertices (a
+T-join), so that a walk crossing B an odd number of times encircles an
+odd number of cone points.
 
 The cover itself is the derived map on dart sheets (d, s):
 
@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import heapq
 import json
+from collections import defaultdict, deque
 from dataclasses import dataclass, field
 
 from .errors import ConstructionError, InputError
@@ -37,7 +38,6 @@ __all__ = [
     "MasterComplex",
     "CoverComplex",
     "build_cover",
-    "winding_parity",
     "complement_components",
     "z2_cycle_rank",
     "verdict",
@@ -50,6 +50,40 @@ class _Edge:
     idx: int
     darts: tuple[int, int]
     arc_id: int | None       # None for scaffold edges
+
+
+class _FaceTable:
+    """A queued face of the chord pass.  ``live`` holds its darts;
+    ``order`` and ``at[v]`` hold every dart it has had, ascending, and
+    shed dead ones from the front when read; ``vertices[j:]`` are the
+    vertices that may still be w.  Chord darts are newer than all."""
+
+    __slots__ = ("live", "order", "at", "vertices", "j")
+
+    def __init__(self, darts, dart_vertex: dict[int, int]):
+        self.order = deque(sorted(darts))
+        self.live = set(self.order)
+        self.at = at = defaultdict(deque)
+        for d in self.order:
+            at[dart_vertex[d]].append(d)
+        self.vertices, self.j = sorted(at), 1
+
+    def first(self, darts: deque) -> int | None:
+        """Smallest live dart of ``darts``, or None."""
+        while darts and darts[0] not in self.live:
+            darts.popleft()
+        return darts[0] if darts else None
+
+    def next_w(self, uf: _UnionFind) -> int | None:
+        """Smallest vertex on the face outside the component of u, its
+        smallest vertex.  One passed over never qualifies again."""
+        vs, root = self.vertices, uf.find(self.vertices[0])
+        while self.j < len(vs):
+            v = vs[self.j]
+            if self.first(self.at[v]) is not None and uf.find(v) != root:
+                return v
+            self.j += 1
+        return None
 
 
 class MasterComplex(RotationSystem):
@@ -91,12 +125,11 @@ class MasterComplex(RotationSystem):
 
     # -- scaffolding ----------------------------------------------------
 
-    def _corner_handle(self, face: tuple[int, ...], vertex: int) -> int:
-        """Dart d at ``vertex`` whose corner (d -> sigma(d)) lies on ``face``:
-        the rotation predecessor of the face's smallest dart at the vertex."""
-        y = min(d for d in face if self.dart_vertex[d] == vertex)
-        rot = self.rotations[vertex]
-        return rot[(rot.index(y) - 1) % len(rot)]
+    def _corner_handle(self, y: int) -> int:
+        """Dart d whose corner (d -> sigma(d)) leads into dart y: the
+        rotation predecessor of y."""
+        rot = self.rotations[self.dart_vertex[y]]
+        return rot[rot.index(y) - 1]
 
     def _scaffold_regions(self) -> None:
         """Chain the faces and bare vertices of each region together."""
@@ -106,7 +139,8 @@ class MasterComplex(RotationSystem):
             for fkey in region["faces"]:
                 face = smap.faces[smap.face_of[fkey]]
                 v = min(self.dart_vertex[d] for d in face)
-                anchors.append((v, self._corner_handle(face, v)))
+                y = min(d for d in face if self.dart_vertex[d] == v)
+                anchors.append((v, self._corner_handle(y)))
             for v in region["isolated"]:
                 anchors.append((v, None))
             anchors.sort(key=lambda a: (a[0], -1 if a[1] is None else a[1]))
@@ -123,41 +157,60 @@ class MasterComplex(RotationSystem):
         a T-join avoiding H exists.  Any face whose boundary meets two
         components of the reduced complex admits such a chord.
 
-        Faces are tried in order of their smallest dart, and each chord
-        joins the two smallest component minima on the first face that
-        qualifies.  Components only merge, so a face passed over never
-        qualifies again; only the two faces a chord creates are queued,
-        the one keeping the split face's smallest dart coming next.
+        Faces are tried in order of their smallest dart; a chord joins
+        u, the face's smallest vertex, to w, its smallest vertex outside
+        u's component, at the corners into their smallest face darts.
+        Components only merge, so a face passed over never qualifies
+        again.  The two halves of a split face both keep a dart at u.
+        They are walked in step from the chord's darts until one closes;
+        that smaller half gets a fresh ``_FaceTable``, and the larger one
+        keeps the old table, so a dart is walked again only when its face
+        at least halves.
         """
         uf = _UnionFind(self.rotations)
         for e in self.edges:
             if e.arc_id not in self.subgraph:
                 uf.union(self.dart_vertex[e.darts[0]], self.dart_vertex[e.darts[1]])
         n_components = len({uf.find(v) for v in self.rotations})
+        sigma, alpha, dart_vertex = self.sigma, self.alpha, self.dart_vertex
         queue = [f[0] for f in self.face_orbits()]     # sorted, so a heap
+        tables: dict[int, _FaceTable] = {}
         while n_components > 1:
             if not queue:
                 raise ConstructionError(
                     "no face joins two components of the reduced complex"
                 )
-            face = self.face(heapq.heappop(queue))
-            by_root: dict[int, int] = {}
-            for d in face:
-                v = self.dart_vertex[d]
-                r = uf.find(v)
-                by_root[r] = min(by_root.get(r, v), v)
-            if len(by_root) < 2:
+            key = heapq.heappop(queue)
+            face = tables.pop(key, None) or _FaceTable(self.face(key), dart_vertex)
+            w = face.next_w(uf)
+            if w is None:
                 continue
-            u, w = sorted(by_root.values())[:2]
+            u = face.vertices[0]
             p, q = self._insert_arc(
-                u, self._corner_handle(face, u),
-                w, self._corner_handle(face, w),
+                u, self._corner_handle(face.first(face.at[u])),
+                w, self._corner_handle(face.first(face.at[w])),
             )
             self._register_edge((p, q), None)
             uf.union(u, w)
             n_components -= 1
-            heapq.heappush(queue, min(self.face(p)))
-            heapq.heappush(queue, min(self.face(q)))
+            if n_components == 1:
+                break
+            half_p, half_q = [p], [q]
+            x, y = sigma[q], sigma[p]              # face successors of p, q
+            while x != p and y != q:
+                half_p.append(x)
+                half_q.append(y)
+                x, y = sigma[alpha[x]], sigma[alpha[y]]
+            # the larger half keeps ``face``, less the smaller, plus its chord dart
+            small, chord_dart = (half_p, q) if x == p else (half_q, p)
+            face.live.difference_update(small)
+            face.live.add(chord_dart)
+            face.order.append(chord_dart)
+            face.at[dart_vertex[chord_dart]].append(chord_dart)
+            for table in (face, _FaceTable(small, dart_vertex)):
+                key = table.first(table.order)
+                tables[key] = table
+                heapq.heappush(queue, key)
 
     def _check_euler(self) -> None:
         v = len(self.rotations)
@@ -423,40 +476,6 @@ def _validate_cover(cov: CoverComplex) -> None:
 # -- queries -----------------------------------------------------------
 
 
-def winding_parity(cov: CoverComplex, crossings) -> int:
-    """Parity of branch-cut crossings along a closed dual walk, given as
-    the cyclic list of master-edge indices the walk crosses.
-
-    Consecutive crossings must share a face; a walk that would need to
-    squeeze through a vertex is rejected.
-    """
-    walk = [int(e) for e in crossings]
-    for e in walk:
-        if not 0 <= e < len(cov.master.edges):
-            raise InputError(f"unknown master edge {e}")
-    if walk:
-        faces = cov.master.face_orbits()
-        face_of = {d: i for i, f in enumerate(faces) for d in f}
-        sides = [
-            {face_of[d] for d in cov.master.edges[e].darts} for e in walk
-        ]
-        for i in range(len(walk)):
-            if not sides[i] & sides[(i + 1) % len(walk)]:
-                raise InputError(
-                    "consecutive crossings share no face; the walk passes "
-                    "through a vertex"
-                )
-    return sum(1 for e in walk if e in cov.master.branch_cuts) % 2
-
-
-def vertex_circle(cov: CoverComplex, vertex: int) -> list[int]:
-    """Edge crossings of a small dual circle around a master vertex."""
-    rot = cov.master.rotations[vertex]
-    if not rot:
-        raise InputError(f"vertex {vertex} has no incident edges")
-    return [cov.master.edge_of_dart[d] for d in rot]
-
-
 def complement_components(cov: CoverComplex, curve_edges=None) -> int:
     """Connected components of the cover minus a system of cover edges
     (defaults to the lifted arc system with one loop of each figure
@@ -523,12 +542,6 @@ def z2_cycle_rank(cov: CoverComplex, cycles) -> int:
     boundaries = _boundary_rows(cov)
     base = _gf2_rank(boundaries)
     return _gf2_rank(boundaries + masks) - base
-
-
-def h1_dimension(cov: CoverComplex) -> int:
-    """dim H_1 over GF(2); equals 2*genus for a connected cover."""
-    z1 = cov.n_edges - cov.n_vertices + 1
-    return z1 - _gf2_rank(_boundary_rows(cov))
 
 
 def verdict(smap: SphereMap, subgraph) -> tuple[int, int]:

@@ -190,14 +190,6 @@ class RegularDoubledPolygonModel(MetricModel):
         cr, sr = math.cosh(self.circumradius), math.sinh(self.circumradius)
         return math.acosh(cr * cr - sr * sr * math.cos(2.0 * math.pi * m / n))
 
-    def vertex_angle(self) -> float:
-        """Interior polygon angle at a vertex, from the law of cosines in
-        the triangle of two adjacent sides."""
-        a = self.pair_distance(1, 2)
-        c = self.pair_distance(1, 3)
-        cosg = (math.cosh(a) ** 2 - math.cosh(c)) / math.sinh(a) ** 2
-        return math.acos(cosg)
-
     def loop_radius(self, i: int) -> float:
         """Distance to the nearest non-incident side.  The polygon is
         convex and regular, so that side is one of the two next to the

@@ -246,12 +246,14 @@ class SphereMap(RotationSystem):
         cone: dict[int, bool],
         genus: int | None = None,
         regions: list[dict] | None = None,
+        *,
+        _faces: list[tuple[int, ...]] | None = None,
     ):
         super().__init__(rotations)
         self.arcs = dict(arcs)
         self.cone = dict(cone)
         self._pair_darts()
-        self._build_faces()
+        self._build_faces(_faces)
         self._build_components()
         self.n_cone = sum(1 for v in self.cone if self.cone[v])
         if self.n_cone < 4 or self.n_cone % 2:
@@ -288,8 +290,8 @@ class SphereMap(RotationSystem):
             raise EmbeddingError("rotation darts and arc darts differ")
         self.isolated = {v for v, rot in self.rotations.items() if not rot}
 
-    def _build_faces(self) -> None:
-        self.faces = self.face_orbits()
+    def _build_faces(self, faces: list[tuple[int, ...]] | None = None) -> None:
+        self.faces = self.face_orbits() if faces is None else faces
         self.face_of = {d: i for i, f in enumerate(self.faces) for d in f}
 
     def _build_components(self) -> None:
@@ -401,15 +403,6 @@ class SphereMap(RotationSystem):
         """
         return self.region_of_face[self.face_of[self.sigma[dart]]]
 
-    def euler_summary(self) -> tuple[int, int, int, int]:
-        """(V, E, F, C) with F counted as arrangement regions."""
-        return (
-            len(self.rotations),
-            len(self.arcs),
-            len(self.regions),
-            len(self.components),
-        )
-
     def without_arcs(self, removed: set[int]) -> "SphereMap":
         """The arrangement with the given arcs erased from the sphere: the
         regions on the two sides of an erased arc merge, and every kept
@@ -438,7 +431,8 @@ class SphereMap(RotationSystem):
         for a in kept_arcs.values():
             d1, d2 = a.darts
             kept.alpha[d1], kept.alpha[d2] = d2, d1
-        for f in kept.face_orbits():
+        faces = kept.face_orbits()
+        for f in faces:
             group(self.region_of_face[self.face_of[f[0]]])["faces"].append(f[0])
         for v, rot in rotations.items():
             if not rot:
@@ -449,7 +443,7 @@ class SphereMap(RotationSystem):
                     else self.region_of_isolated[v]
                 )
                 group(region)["isolated"].append(v)
-        return SphereMap(rotations, kept_arcs, self.cone, regions=groups)
+        return SphereMap(rotations, kept_arcs, self.cone, regions=groups, _faces=faces)
 
     # -- serialization -----------------------------------------------
 

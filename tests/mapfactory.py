@@ -3,6 +3,16 @@
 from hyperbasis.spheremap import Arc, MapBuilder, SphereMap
 
 
+def euler_summary(m: SphereMap) -> tuple[int, int, int, int]:
+    """(V, E, F, C) with F counted as arrangement regions."""
+    return (
+        len(m.rotations),
+        len(m.arcs),
+        len(m.regions),
+        len(m.components),
+    )
+
+
 def polygon_cycle(n: int) -> SphereMap:
     """Boundary cycle of an n-gon: side k joins vertices k and k+1."""
     rot = {v: [] for v in range(1, n + 1)}

@@ -363,6 +363,20 @@ def test_unexpected_exception_exits_4(monkeypatch, tmp_path, capsys):
     assert "RuntimeError: prune fell over" in err
 
 
+def test_genus_one_prune_exits_2_before_pruning(monkeypatch, tmp_path, capsys):
+    path = tmp_path / "genus1.json"
+    path.write_text(families.random_growth_map(random.Random(0), 4).to_json())
+    code, _, _ = run(["verify", "--map", str(path)], capsys)
+    assert code == 1                 # a genus-1 map is still verifiable
+    calls = []
+    monkeypatch.setattr(prune, "prune", calls.append)
+    code, out, err = run(["prune", "--map", str(path)], capsys)
+    assert code == 2
+    assert out == ""
+    assert err == "error: genus must be an integer >= 2, got 1\n"
+    assert calls == []
+
+
 # -- mutated inputs only ever exit with a documented input-side code -------
 
 JSON_VALUES = st.recursive(

@@ -1,12 +1,18 @@
+import importlib
 import json
 import random
+import sys
+from pathlib import Path
 
 import pytest
 
-from hyperbasis import cover, families
+import coverqueries
+from hyperbasis import cover, families, prune
 from hyperbasis import spheremap as sm
 from hyperbasis.errors import InputError
 from mapfactory import bones, hexagon_sub, polygon_cycle
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
 def census(cov):
@@ -85,10 +91,10 @@ def test_h1_dimension_is_twice_genus():
     for kept in ([1], [1, 3, 5]):
         m = hexagon_sub(kept)
         cov = cover.build_cover(m, kept)
-        assert cover.h1_dimension(cov) == 2 * m.genus
+        assert coverqueries.h1_dimension(cov) == 2 * m.genus
     m8 = bones([(1, 2), (3, 4)], 8)
     cov = cover.build_cover(m8, [1, 2])
-    assert m8.genus == 3 and cover.h1_dimension(cov) == 6
+    assert m8.genus == 3 and coverqueries.h1_dimension(cov) == 6
 
 
 def test_full_path_gives_maximal_rank():
@@ -115,15 +121,15 @@ def test_z2_rank_rejects_non_cycle():
 
 def test_winding_parities():
     cov = cover.build_cover(polygon_cycle(6), [])
-    circle = cover.vertex_circle(cov, 1)
-    assert cover.winding_parity(cov, circle) == 1
+    circle = coverqueries.vertex_circle(cov, 1)
+    assert coverqueries.winding_parity(cov, circle) == 1
     # two hexagon sides cut off the vertices between them
     e = {a: cov.master.edge_of_arc[a] for a in range(1, 7)}
-    assert cover.winding_parity(cov, [e[1], e[2]]) == 1        # encloses {2}
-    assert cover.winding_parity(cov, [e[1], e[3]]) == 0        # encloses {2,3}
-    assert cover.winding_parity(cov, [e[1], e[4]]) == 1
-    assert cover.winding_parity(cov, []) == 0
-    assert cover.winding_parity(cov, [e[1], e[1]]) == 0        # contractible
+    assert coverqueries.winding_parity(cov, [e[1], e[2]]) == 1        # encloses {2}
+    assert coverqueries.winding_parity(cov, [e[1], e[3]]) == 0        # encloses {2,3}
+    assert coverqueries.winding_parity(cov, [e[1], e[4]]) == 1
+    assert coverqueries.winding_parity(cov, []) == 0
+    assert coverqueries.winding_parity(cov, [e[1], e[1]]) == 0        # contractible
 
 
 def test_winding_rejects_vertex_pinch():
@@ -138,10 +144,10 @@ def test_winding_rejects_vertex_pinch():
     inner = cov.master.edge_of_arc[1]
     outer = cov.master.edge_of_arc[3]
     with pytest.raises(InputError):
-        cover.winding_parity(cov, [inner, outer])
+        coverqueries.winding_parity(cov, [inner, outer])
     # stepping through the middle loop on the way out and back is fine
     mid = cov.master.edge_of_arc[2]
-    assert cover.winding_parity(cov, [inner, mid, outer, outer, mid, inner]) == 0
+    assert coverqueries.winding_parity(cov, [inner, mid, outer, outer, mid, inner]) == 0
 
 
 def test_winding_parity_additivity_random():
@@ -151,7 +157,7 @@ def test_winding_parity_additivity_random():
         cov = cover.build_cover(m, families.random_subgraph(rng, m))
         for v in sorted(m.rotations):
             if m.rotations[v]:
-                assert cover.winding_parity(cov, cover.vertex_circle(cov, v)) == 1
+                assert coverqueries.winding_parity(cov, coverqueries.vertex_circle(cov, v)) == 1
 
 
 def test_partial_basis_never_exceeds_2g():
@@ -216,7 +222,35 @@ def rotation_faces(rotations, alpha):
 class RestartMaster(cover.MasterComplex):
     """Scaffold chords by the restart loop: after every chord, rebuild the
     union-find of the complex minus H and every face, and take the first
-    face, by smallest dart, that meets two components."""
+    face, by smallest dart, that meets two components.  Corners are found
+    by scanning the face, as the package once did."""
+
+    def _corner_handle(self, face: tuple[int, ...], vertex: int) -> int:
+        """Dart d at ``vertex`` whose corner (d -> sigma(d)) lies on ``face``:
+        the rotation predecessor of the face's smallest dart at the vertex."""
+        y = min(d for d in face if self.dart_vertex[d] == vertex)
+        rot = self.rotations[vertex]
+        return rot[(rot.index(y) - 1) % len(rot)]
+
+    def _scaffold_regions(self) -> None:
+        """Chain the faces and bare vertices of each region together."""
+        smap = self.smap
+        for region in smap.regions:
+            anchors: list[tuple[int, int | None]] = []
+            for fkey in region["faces"]:
+                face = smap.faces[smap.face_of[fkey]]
+                v = min(self.dart_vertex[d] for d in face)
+                anchors.append((v, self._corner_handle(face, v)))
+            for v in region["isolated"]:
+                anchors.append((v, None))
+            anchors.sort(key=lambda a: (a[0], -1 if a[1] is None else a[1]))
+            for i in range(len(anchors) - 1):
+                u, du = anchors[i]
+                w, dw = anchors[i + 1]
+                p, q = self._insert_arc(u, du, w, dw)
+                self._register_edge((p, q), None)
+                # subsequent hops leave from the dart just planted
+                anchors[i + 1] = (w, q)
 
     def _scaffold_connectivity(self):
         while True:
@@ -256,6 +290,20 @@ def scan_deck_vertex(cov, cv):
     raise AssertionError(f"unknown cover vertex {cv}")
 
 
+def perfbench_gen():
+    sys.path.insert(0, str(PERFBENCH))
+    try:
+        return importlib.import_module("gen")
+    finally:
+        sys.path.remove(str(PERFBENCH))
+
+
+def pruned(m):
+    """The map prune's verify covers, and the arcs it keeps."""
+    result = prune.prune(m)
+    return m.without_arcs(set(result.deleted)), sorted(result.kept)
+
+
 def differential_cases():
     for n in range(2, 41):
         m = families.block_family(n)
@@ -267,8 +315,23 @@ def differential_cases():
         yield m, families.random_subgraph(rng, m)
 
 
+def scaffold_cases():
+    yield from differential_cases()
+    gen = perfbench_gen()
+    for n in gen.BLOCK_SIZES:                  # the seed-1 block-prune maps
+        m = sm.from_json(json.dumps(gen.block_map(n)))
+        yield m, sorted(m.arcs)
+        yield pruned(m)
+    rng = random.Random(41)
+    for _ in range(40):
+        smap, _model = gen.nested_arrangement(rng, rng.randrange(8, 65, 2))
+        m = sm.from_json(json.dumps(smap))
+        yield m, sorted(m.arcs)
+        yield m, families.random_subgraph(rng, m)
+
+
 def test_single_pass_scaffold_matches_restart_loop(monkeypatch):
-    for m, sub in differential_cases():
+    for m, sub in scaffold_cases():
         cov = cover.build_cover(m, sub)
         with monkeypatch.context() as mp:
             mp.setattr(cover, "MasterComplex", RestartMaster)
@@ -294,3 +357,55 @@ def test_lift_tables_match_linear_scans():
             assert cov.deck_vertex(cv) == scan_deck_vertex(cov, cv)
     with pytest.raises(InputError):
         cov.deck_vertex(cov.n_vertices)
+
+
+class CountingDict(dict):
+    """A dict that counts its reads."""
+
+    reads = 0
+
+    def __getitem__(self, key):
+        self.reads += 1
+        return super().__getitem__(key)
+
+    def get(self, key, default=None):
+        self.reads += 1
+        return super().get(key, default)
+
+
+class CountingUnionFind(sm._UnionFind):
+    finds = 0
+
+    def find(self, x):
+        CountingUnionFind.finds += 1
+        return super().find(x)
+
+
+class CountingMaster(cover.MasterComplex):
+    """Counts the sigma reads and union-find lookups of the chord pass."""
+
+    def _scaffold_connectivity(self):
+        plain, self.sigma = self.sigma, CountingDict(self.sigma)
+        CountingUnionFind.finds = 0
+        super()._scaffold_connectivity()
+        plain.update(self.sigma)
+        self.sigma_reads, self.sigma = self.sigma.reads, plain
+        self.finds = CountingUnionFind.finds
+
+
+def test_scaffold_work_grows_linearly(monkeypatch):
+    """Each dart is walked again only as part of the smaller half of a
+    split face, and w only moves forward; a chord pass that re-walks the
+    big outer face once per chord reads sigma about 400 times per dart
+    at 400 blocks, and its reads grow 4x per doubling."""
+    monkeypatch.setattr(cover, "_UnionFind", CountingUnionFind)
+    work = {}
+    for n in (100, 200, 400):
+        final, kept = pruned(families.block_family(n))
+        master = CountingMaster(final, kept)
+        darts = len(master.dart_vertex)
+        assert master.sigma_reads <= 10 * darts
+        assert master.finds <= 10 * darts
+        work[n] = (master.sigma_reads, master.finds)
+    assert work[400][0] <= 2.5 * work[200][0]
+    assert work[400][1] <= 2.5 * work[200][1]

@@ -15,6 +15,15 @@ def reflect(x, u, v):
     return (x[0] - t * n[0], x[1] - t * n[1], x[2] - t * n[2])
 
 
+def vertex_angle(m):
+    """Interior polygon angle at a vertex, from the law of cosines in
+    the triangle of two adjacent sides."""
+    a = m.pair_distance(1, 2)
+    c = m.pair_distance(1, 3)
+    cosg = (math.cosh(a) ** 2 - math.cosh(c)) / math.sinh(a) ** 2
+    return math.acos(cosg)
+
+
 def test_regular_model_g2_constants():
     m = hypmodel.regular_model(2)
     assert m.n_points == 6
@@ -34,7 +43,7 @@ def test_regular_model_g3_circumradius():
 @pytest.mark.parametrize("g", [2, 3, 4, 7, 12])
 def test_right_angles(g):
     m = hypmodel.regular_model(g)
-    assert m.vertex_angle() == pytest.approx(math.pi / 2.0, abs=1e-9)
+    assert vertex_angle(m) == pytest.approx(math.pi / 2.0, abs=1e-9)
 
 
 @pytest.mark.parametrize("g", [2, 3, 5])

@@ -6,19 +6,19 @@ import pytest
 from hyperbasis import families
 from hyperbasis import spheremap as sm
 from hyperbasis.errors import EmbeddingError, InputError
-from mapfactory import bones, hexagon_sub, polygon_cycle, sibling_loops
+from mapfactory import bones, euler_summary, hexagon_sub, polygon_cycle, sibling_loops
 
 
 def test_hexagon_cycle_euler():
     m = polygon_cycle(6)
-    v, e, f, c = m.euler_summary()
+    v, e, f, c = euler_summary(m)
     assert (v, e, f, c) == (6, 6, 2, 1)
     assert v - e + f == 1 + c
 
 
 def test_path_submap_face_count():
     p = hexagon_sub({1, 2, 3, 4, 5})
-    assert p.euler_summary() == (6, 5, 1, 1)
+    assert euler_summary(p) == (6, 5, 1, 1)
     assert sm.classify_components(p) == [sm.ComponentKind.TREE]
 
 
@@ -27,7 +27,7 @@ def test_two_disjoint_loops_euler():
     b.add_loop(1, 1, set())
     b.add_loop(2, 2, set())
     m = b.finalize()
-    v, e, f, c = m.euler_summary()
+    v, e, f, c = euler_summary(m)
     assert (v - e + f, c) == (1 + c, 6)  # 2 loops + 4 isolated vertices
     assert f == 3
 
@@ -222,7 +222,7 @@ def test_invalid_subgraph_rejected():
 def test_without_arcs_updates_regions():
     m = families.block_family(2)
     sub = m.without_arcs({2})        # drop one loop
-    v, e, f, c = sub.euler_summary()
+    v, e, f, c = euler_summary(sub)
     assert v - e + f == 1 + c
     sub2 = sub.without_arcs({4})
     assert len(sub2.regions) == 1
@@ -230,7 +230,7 @@ def test_without_arcs_updates_regions():
 
 def test_sibling_loops_map():
     m = sibling_loops(8)
-    assert m.euler_summary() == (8, 8, 9, 8)
+    assert euler_summary(m) == (8, 8, 9, 8)
     kinds = sm.classify_components(m)
     assert all(k is sm.ComponentKind.LOOP for k in kinds)
 
