@@ -492,8 +492,8 @@ def complement_components(cov: CoverComplex, curve_edges=None) -> int:
     return len({uf.find(f) for f in range(cov.n_faces)})
 
 
-def _gf2_rank(rows: list[int]) -> int:
-    basis: dict[int, int] = {}
+def _gf2_extend(basis: dict[int, int], rows) -> int:
+    """Add each row, reduced once, to ``basis`` (pivot -> row); count them."""
     rank = 0
     for row in rows:
         row = _gf2_reduce(row, basis)
@@ -523,7 +523,8 @@ def z2_cycle_rank(cov: CoverComplex, cycles) -> int:
     """Rank over GF(2) of the given edge sets in first homology.
 
     Each cycle is an iterable of cover-edge ids and must have vanishing
-    boundary; the rank is computed modulo the face boundary space.
+    boundary; the rank is computed modulo the face boundary space, whose
+    rows are eliminated once before the cycles are reduced against them.
     """
     masks = []
     for cyc in cycles:
@@ -539,9 +540,9 @@ def z2_cycle_rank(cov: CoverComplex, cycles) -> int:
         if bound:
             raise InputError("input chain is not a cycle")
         masks.append(mask)
-    boundaries = _boundary_rows(cov)
-    base = _gf2_rank(boundaries)
-    return _gf2_rank(boundaries + masks) - base
+    basis: dict[int, int] = {}
+    _gf2_extend(basis, _boundary_rows(cov))
+    return _gf2_extend(basis, masks)
 
 
 def verdict(smap: SphereMap, subgraph) -> tuple[int, int]:

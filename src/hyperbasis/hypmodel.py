@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass
 
 from .errors import EmbeddingError, InputError
@@ -328,14 +329,14 @@ class SyntheticModel(MetricModel):
 
 
 def _finite_floats(values, field: str) -> list[float]:
-    try:
-        out = [float(x) for x in values]
-    except (TypeError, ValueError) as e:
-        raise InputError(f"{field} must hold numbers: {e}") from e
-    bad = [x for x in out if not math.isfinite(x)]
+    """JSON numbers as finite floats; a string or a boolean is no number."""
+    for x in values:
+        if type(x) is not float and (isinstance(x, bool) or not isinstance(x, (int, float))):
+            raise InputError(f"{field} must hold numbers, got {x!r}")
+    bad = [x for x in values if not abs(x) <= sys.float_info.max]  # nan, inf, huge int
     if bad:
         raise InputError(f"{field} must be finite, got {bad[0]}")
-    return out
+    return [float(x) for x in values]
 
 
 def load_synthetic(source, name: str | None = None) -> SyntheticModel:
@@ -347,6 +348,6 @@ def load_synthetic(source, name: str | None = None) -> SyntheticModel:
             data = json.load(fh)
     except OSError as e:
         raise InputError(f"cannot read model file: {e}") from e
-    except json.JSONDecodeError as e:
+    except (ValueError, RecursionError) as e:   # also too deep, or an over-long int
         raise InputError(f"bad model JSON: {e}") from e
     return SyntheticModel(data, name or str(source))

@@ -36,8 +36,7 @@ from .spheremap import (
     Component,
     ComponentKind,
     SphereMap,
-    classify_arcs,
-    components,
+    classify_arcs,  # noqa: F401  unused; the benchmark tracer wraps this name
     region_admits_odd_curve,
     region_tree,
 )
@@ -82,12 +81,11 @@ def preliminary_steps(smap: SphereMap):
 
     Returns (reduced map, paired blocks, deleted arc ids, trace).
 
-    Every subgraph of a graph of growth shapes has growth-shaped
-    components again, so the shapes are checked once, on the input; the
-    maps derived from it reuse their own ``components``.
+    Shapes are checked once, on the input's own ``components``: every
+    subgraph of a graph of growth shapes has growth-shaped components
+    again, so the maps derived from it need no second check.
     """
-    kinds = classify_arcs(smap, smap.arcs)
-    if any(k is ComponentKind.INVALID for k in kinds.values()):
+    if any(c.kind is ComponentKind.INVALID for c in smap.components):
         raise InputError("graph has a component outside the growth shapes")
     trace: list[dict] = []
     deleted: list[int] = []
@@ -287,9 +285,10 @@ def prune(smap: SphereMap) -> PruneResult:
             for v in freed:
                 pair_with_bone(rid, v)
 
-    # leftover free components become singleton blocks
+    # leftover free components become singleton blocks; ``work``'s are those
+    # of the alive arcs, as no loop disconnects and case 6 kills a whole bone
     in_blocks = {a for b in blocks for a in b.arcs}
-    for comp in components(work, alive):
+    for comp in work.components:
         extra = [a for a in comp.arcs if a in alive and a not in in_blocks]
         if not extra:
             continue

@@ -301,8 +301,7 @@ class SphereMap(RotationSystem):
         }
 
     def _check_component_euler(self) -> None:
-        by_key = {c.key: c for c in self.components}
-        nfaces = {k: 0 for k in by_key}
+        nfaces = {c.key: 0 for c in self.components}
         for f in self.faces:
             nfaces[self.component_of[self.dart_vertex[f[0]]]] += 1
         for c in self.components:
@@ -406,7 +405,8 @@ class SphereMap(RotationSystem):
     def without_arcs(self, removed: set[int]) -> "SphereMap":
         """The arrangement with the given arcs erased from the sphere: the
         regions on the two sides of an erased arc merge, and every kept
-        face or newly bare vertex joins the merged region it lay in."""
+        face or newly bare vertex joins the merged region it lay in.  The
+        kept faces are walked once and handed to the constructor."""
         removed = set(removed)
         for aid in removed:
             if aid not in self.arcs:
@@ -427,11 +427,9 @@ class SphereMap(RotationSystem):
         def group(old_region: int) -> dict:
             return groups[new_idx[uf.find(old_region)]]
 
-        kept = RotationSystem(rotations)
-        for a in kept_arcs.values():
-            d1, d2 = a.darts
-            kept.alpha[d1], kept.alpha[d2] = d2, d1
-        faces = kept.face_orbits()
+        # sigma o alpha off the kept rotations: alpha(d) -> successor of d
+        faces = _orbits({self.alpha[d]: rot[(i + 1) % len(rot)]
+                         for rot in rotations.values() for i, d in enumerate(rot)})
         for f in faces:
             group(self.region_of_face[self.face_of[f[0]]])["faces"].append(f[0])
         for v, rot in rotations.items():
@@ -485,7 +483,7 @@ def from_json(data) -> SphereMap:
     if isinstance(data, str):
         try:
             data = json.loads(data)
-        except json.JSONDecodeError as e:
+        except (ValueError, RecursionError) as e:   # also too deep, or an over-long int
             raise InputError(f"bad JSON: {e}") from e
     if not isinstance(data, dict):
         raise InputError("map description must be an object")

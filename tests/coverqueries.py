@@ -43,4 +43,4 @@ def vertex_circle(cov: CoverComplex, vertex: int) -> list[int]:
 def h1_dimension(cov: CoverComplex) -> int:
     """dim H_1 over GF(2); equals 2*genus for a connected cover."""
     z1 = cov.n_edges - cov.n_vertices + 1
-    return z1 - cover._gf2_rank(cover._boundary_rows(cov))
+    return z1 - cover._gf2_extend({}, cover._boundary_rows(cov))

@@ -212,6 +212,14 @@ def run_model(model, tmp_path, capsys):
             "distances must be finite, got -inf",
         ),
         ({"loop_radii": [0.5] * 5 + ["x"]}, "loop_radii must hold numbers"),
+        # numbers are never coerced: a string or a boolean is rejected
+        (
+            {"distances": [[0.0 if a == b else "2.0" for b in range(6)] for a in range(6)]},
+            "distances must hold numbers, got '2.0'",
+        ),
+        ({"loop_radii": [0.5] * 5 + [True]}, "loop_radii must hold numbers, got True"),
+        ({"loop_radii": [0.5] * 5 + ["5"]}, "loop_radii must hold numbers, got '5'"),
+        ({"loop_radii": [0.5] * 5 + [10**400]}, "loop_radii must be finite, got 1000000"),
     ],
 )
 def test_nonfinite_model_values_exit_2(changes, message, tmp_path, capsys):
@@ -219,6 +227,20 @@ def test_nonfinite_model_values_exit_2(changes, message, tmp_path, capsys):
     assert code == 2
     assert message in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "text",
+    ['{"genus": ' + "1" * 5000 + "}", "[" * 100_000 + "]" * 100_000],
+    ids=["integer of 5000 digits", "arrays nested 100000 deep"],
+)
+def test_json_the_parser_refuses_exits_2(text, tmp_path, capsys):
+    path = tmp_path / "input.json"
+    path.write_text(text)
+    for argv in (["pipeline", "--model", str(path)], ["prune", "--map", str(path)]):
+        code, _, err = run(argv, capsys)
+        assert code == 2
+        assert "invalid input: bad" in err and "Traceback" not in err
 
 
 def test_nonfinite_oracle_value_exits_2(monkeypatch, capsys):
