@@ -129,9 +129,18 @@ def _blocks_payload(result: prune.PruneResult) -> list[dict]:
     ]
 
 
+def _read_map(path: str) -> sphere.SphereMap:
+    """The map in a JSON file; bytes that are not UTF-8 are invalid input."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as e:
+        raise InputError(f"map file is not UTF-8: {e}") from e
+    return sphere.from_json(text)
+
+
 def cmd_prune(args) -> int:
-    with open(args.map, "r", encoding="utf-8") as fh:
-        smap = sphere.from_json(fh.read())
+    smap = _read_map(args.map)
     bounds.kappa(smap.genus)            # reject a genus outside the domain before pruning
     result = prune.prune(smap)
     report = prune.verify(result, smap)
@@ -160,12 +169,12 @@ def _parse_subset(text: str) -> frozenset[int]:
 
 
 def cmd_verify(args) -> int:
-    with open(args.map, "r", encoding="utf-8") as fh:
-        smap = sphere.from_json(fh.read())
+    smap = _read_map(args.map)
     subset = frozenset(smap.arcs) if args.subset is None else _parse_subset(args.subset)
     parity = sphere.is_nonseparating(smap, subset)
     components, rank = cover.verdict(smap, subset)
     verdict = components == 1
+    cover.check_agreement(subset, parity, verdict)
     payload = {
         "arcs": sorted(subset),
         "parity_nonseparating": parity,

@@ -7,9 +7,9 @@ complex stays connected after removing H's arcs.  The complex is a
 ``spheremap.RotationSystem``; the chords come from one queue of faces
 ordered by smallest dart, where a split face keeps its table and only
 the smaller half is walked again.  A branch-cut set B is then chosen
-inside the non-H edges with odd degree exactly at the cone vertices (a
-T-join), so that a walk crossing B an odd number of times encircles an
-odd number of cone points.
+inside the non-H edges with odd degree at every vertex, each a cone
+point (a T-join), so that a walk crossing B an odd number of times
+encircles an odd number of cone points.
 
 The cover itself is the derived map on dart sheets (d, s):
 
@@ -29,7 +29,7 @@ from __future__ import annotations
 import heapq
 import json
 from collections import defaultdict, deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import ConstructionError, InputError
 from .spheremap import RotationSystem, SphereMap, _UnionFind
@@ -41,6 +41,7 @@ __all__ = [
     "complement_components",
     "z2_cycle_rank",
     "verdict",
+    "check_agreement",
     "is_partial_basis",
 ]
 
@@ -224,8 +225,8 @@ class MasterComplex(RotationSystem):
     # -- branch cuts ----------------------------------------------------
 
     def _t_join(self) -> set[int]:
-        """Edge set with odd degree exactly at cone vertices, inside the
-        complex minus H (spanning-tree parity sweep)."""
+        """Edge set with odd degree at every vertex (each is a cone
+        point), inside the complex minus H (spanning-tree parity sweep)."""
         adj: dict[int, list[tuple[int, int]]] = {v: [] for v in self.rotations}
         for e in self.edges:
             if e.arc_id in self.subgraph:
@@ -245,7 +246,7 @@ class MasterComplex(RotationSystem):
                     order.append(w)
         if len(seen) != len(self.rotations):
             raise ConstructionError("reduced complex is not connected")
-        need = {v: 1 if self.smap.cone.get(v, True) else 0 for v in self.rotations}
+        need = dict.fromkeys(self.rotations, 1)
         cuts: set[int] = set()
         for v in reversed(order[1:]):
             if need[v]:
@@ -257,36 +258,122 @@ class MasterComplex(RotationSystem):
             raise ConstructionError("odd number of branch points")
         return cuts
 
-    def beta(self, dart: int) -> int:
-        return 1 if self.edge_of_dart[dart] in self.branch_cuts else 0
+
+def _orbit_ids(perm: list[int]) -> tuple[list[int], list[int]]:
+    """Orbit id per lift, and the smallest lift of every orbit."""
+    ids = [-1] * len(perm)
+    firsts = []
+    for start in range(len(perm)):
+        if ids[start] >= 0:
+            continue
+        dl = start
+        while ids[dl] < 0:
+            ids[dl] = len(firsts)
+            dl = perm[dl]
+        firsts.append(start)
+    return ids, firsts
 
 
-@dataclass
 class CoverComplex:
-    master: MasterComplex
-    n_cone: int
-    genus: int
-    # dart lifts are encoded 2*dart_index + sheet
-    dart_index: dict[int, int] = field(default_factory=dict)
-    darts: list[int] = field(default_factory=list)
-    sigma_hat: list[int] = field(default_factory=list)
-    alpha_hat: list[int] = field(default_factory=list)
-    vertex_of_lift: list[int] = field(default_factory=list)   # cover vertex id per dart lift
-    edge_of_lift: list[int] = field(default_factory=list)     # cover edge id per dart lift
-    face_of_lift: list[int] = field(default_factory=list)     # cover face id per dart lift
-    lift_of_vertex: list[int] = field(default_factory=list)   # smallest dart lift per cover vertex
-    lift_of_edge: list[int] = field(default_factory=list)     # smallest dart lift per cover edge
-    n_vertices: int = 0
-    n_edges: int = 0
-    n_faces: int = 0
-    base_vertex: list[int] = field(default_factory=list)      # per cover vertex
-    base_edge: list[int] = field(default_factory=list)        # per cover edge
-    branch_vertices: list[int] = field(default_factory=list)
-    lifted_cycles: dict[int, list[tuple[int, ...]]] = field(default_factory=dict)
-    kept_cycle: dict[int, tuple[int, ...]] = field(default_factory=dict)
-    hsharp: set[int] = field(default_factory=set)
+    """Branched double cover of a master complex, with the arc system
+    lifted; the constructor builds every table and validates the cover.
+
+    Dart lifts are encoded 2*dart_index + sheet.  ``vertex_of_lift``,
+    ``edge_of_lift`` and ``face_of_lift`` give each lift's cover cell;
+    ``lift_of_vertex`` and ``lift_of_edge`` give each cover vertex or
+    edge its smallest lift, whose dart projects the cell to the sphere.
+    """
+
+    def __init__(self, master: MasterComplex):
+        self.master = master
+        self.n_cone = master.smap.n_cone
+        self.genus = master.smap.genus
+        self.darts = darts = sorted(master.dart_vertex)
+        self.dart_index = index = {d: i for i, d in enumerate(darts)}
+        cut = {d for e in master.branch_cuts for d in master.edges[e].darts}
+        on_cut = [d in cut for d in darts]
+        sigma_hat = [0] * (2 * len(darts))
+        alpha_hat = [0] * (2 * len(darts))
+        for i, d in enumerate(darts):
+            si = index[master.sigma[d]]
+            ai = index[master.alpha[d]]
+            for s in (0, 1):
+                sigma_hat[2 * i + s] = 2 * si + (s ^ on_cut[si])
+                alpha_hat[2 * i + s] = 2 * ai + (s ^ on_cut[i])
+        self.sigma_hat, self.alpha_hat = sigma_hat, alpha_hat
+        self.vertex_of_lift, self.lift_of_vertex = _orbit_ids(sigma_hat)
+        self.edge_of_lift, self.lift_of_edge = _orbit_ids(alpha_hat)
+        self.face_of_lift, face_firsts = _orbit_ids([sigma_hat[a] for a in alpha_hat])
+        self.n_vertices = len(self.lift_of_vertex)
+        self.n_edges = len(self.lift_of_edge)
+        self.n_faces = len(face_firsts)
+        vertex_of = self.vertex_of_lift
+        self.branch_vertices = sorted(
+            {cv for dl, cv in enumerate(vertex_of) if cv == vertex_of[dl ^ 1]}
+        )
+        self.lifted_cycles: dict[int, list[tuple[int, ...]]] = {}
+        self.kept_cycle: dict[int, tuple[int, ...]] = {}
+        self.hsharp: set[int] = set()
+        self._lift_arcs()
+        self._validate()
+
+    def _lift_arcs(self) -> None:
+        master = self.master
+        for aid in sorted(master.subgraph):
+            arc = master.smap.arcs[aid]
+            if master.edge_of_arc[aid] in master.branch_cuts:
+                raise ConstructionError(f"branch cut runs along arc {aid}")
+            i = self.dart_index[arc.darts[0]]
+            ce0, ce1 = self.edge_of_lift[2 * i], self.edge_of_lift[2 * i + 1]
+            if arc.kind == "edge":
+                # the two lifts close up into one cycle through two branch points
+                cycle = tuple(sorted({ce0, ce1}))
+                if len(cycle) != 2:
+                    raise ConstructionError(f"edge arc {aid} lifted to one edge")
+                ends0 = self.edge_endpoints(ce0)
+                ends1 = self.edge_endpoints(ce1)
+                if ends0 != ends1 or ends0[0] == ends0[1]:
+                    raise ConstructionError(f"edge arc {aid} lift is not a bigon")
+                self.lifted_cycles[aid] = [cycle]
+                self.kept_cycle[aid] = cycle
+                self.hsharp.update(cycle)
+            else:
+                # figure eight: two loop lifts wedged at the single branch lift
+                if ce0 == ce1:
+                    raise ConstructionError(f"loop arc {aid} lifted to one edge")
+                e0, e1 = self.edge_endpoints(ce0), self.edge_endpoints(ce1)
+                if not (e0[0] == e0[1] == e1[0] == e1[1]):
+                    raise ConstructionError(f"loop arc {aid} lift is not a figure eight")
+                kept = self.edge_of_lift[2 * self.dart_index[min(arc.darts)]]
+                other = ce1 if kept == ce0 else ce0
+                self.lifted_cycles[aid] = [(kept,), (other,)]
+                self.kept_cycle[aid] = (kept,)
+                self.hsharp.add(kept)
+
+    def _validate(self) -> None:
+        expected_chi = 4 - self.n_cone
+        if self.euler() != expected_chi:
+            raise ConstructionError(
+                f"cover Euler characteristic {self.euler()}, expected {expected_chi}"
+            )
+        if not self.is_connected():
+            raise ConstructionError("cover is disconnected")
+        branch_base = sorted(map(self._projection_vertex, self.branch_vertices))
+        if branch_base != sorted(self.master.rotations):
+            raise ConstructionError("sheet swap does not fix exactly the cone points")
+        for dl in range(len(self.sigma_hat)):
+            if self.sigma_hat[dl ^ 1] != self.sigma_hat[dl] ^ 1:
+                raise ConstructionError("sheet swap is not a map automorphism")
+            if self.alpha_hat[dl ^ 1] != self.alpha_hat[dl] ^ 1:
+                raise ConstructionError("sheet swap is not a map automorphism")
+            if self.alpha_hat[self.alpha_hat[dl]] != dl:
+                raise ConstructionError("edge pairing is not an involution")
 
     # -- derived structure -------------------------------------------
+
+    def _projection_vertex(self, cv: int) -> int:
+        """Sphere vertex under cover vertex ``cv``, read off its smallest lift."""
+        return self.master.dart_vertex[self.darts[self.lift_of_vertex[cv] // 2]]
 
     def deck_vertex(self, cv: int) -> int:
         if not 0 <= cv < self.n_vertices:
@@ -314,11 +401,6 @@ class CoverComplex:
         a, b = self.vertex_of_lift[dl], self.vertex_of_lift[self.alpha_hat[dl]]
         return (a, b) if a <= b else (b, a)
 
-    def cover_edges_of_arc(self, arc_id: int) -> tuple[int, int]:
-        d1, _ = self.master.smap.arcs[arc_id].darts
-        i = self.dart_index[d1]
-        return (self.edge_of_lift[2 * i], self.edge_of_lift[2 * i + 1])
-
     def to_debug_dict(self) -> dict:
         return {
             "n_vertices": self.n_vertices,
@@ -331,10 +413,11 @@ class CoverComplex:
                 e.idx for e in self.master.edges if e.arc_id is None
             ],
             "projection_vertices": {
-                str(cv): self.base_vertex[cv] for cv in range(self.n_vertices)
+                str(cv): self._projection_vertex(cv) for cv in range(self.n_vertices)
             },
             "projection_edges": {
-                str(ce): self.base_edge[ce] for ce in range(self.n_edges)
+                str(ce): self.master.edge_of_dart[self.darts[dl // 2]]
+                for ce, dl in enumerate(self.lift_of_edge)
             },
             "sheet_of_lift": [dl % 2 for dl in range(len(self.sigma_hat))],
             "deck_vertex_map": {
@@ -353,124 +436,7 @@ class CoverComplex:
 
 def build_cover(smap: SphereMap, subgraph) -> CoverComplex:
     """Branched double cover of the sphere with the arc system lifted."""
-    master = MasterComplex(smap, subgraph)
-    cov = CoverComplex(master=master, n_cone=smap.n_cone, genus=smap.genus)
-    darts = sorted(master.dart_vertex)
-    cov.darts = darts
-    cov.dart_index = {d: i for i, d in enumerate(darts)}
-    n = len(darts)
-    sigma = master.sigma
-    beta = [master.beta(d) for d in darts]
-
-    sigma_hat = [0] * (2 * n)
-    alpha_hat = [0] * (2 * n)
-    for i, d in enumerate(darts):
-        si = cov.dart_index[sigma[d]]
-        ai = cov.dart_index[master.alpha[d]]
-        for s in (0, 1):
-            sigma_hat[2 * i + s] = 2 * si + (s ^ beta[si])
-            alpha_hat[2 * i + s] = 2 * ai + (s ^ beta[i])
-    cov.sigma_hat = sigma_hat
-    cov.alpha_hat = alpha_hat
-
-    def orbit_ids(perm: list[int]) -> tuple[list[int], list[int]]:
-        """Orbit id per lift, and the smallest lift of every orbit."""
-        ids = [-1] * len(perm)
-        firsts = []
-        for start in range(len(perm)):
-            if ids[start] >= 0:
-                continue
-            dl = start
-            while ids[dl] < 0:
-                ids[dl] = len(firsts)
-                dl = perm[dl]
-            firsts.append(start)
-        return ids, firsts
-
-    cov.vertex_of_lift, cov.lift_of_vertex = orbit_ids(sigma_hat)
-    cov.edge_of_lift, cov.lift_of_edge = orbit_ids(alpha_hat)
-    phat = [sigma_hat[alpha_hat[dl]] for dl in range(2 * n)]
-    cov.face_of_lift, face_firsts = orbit_ids(phat)
-    cov.n_vertices = len(cov.lift_of_vertex)
-    cov.n_edges = len(cov.lift_of_edge)
-    cov.n_faces = len(face_firsts)
-
-    cov.base_vertex = [0] * cov.n_vertices
-    for dl in range(2 * n):
-        cov.base_vertex[cov.vertex_of_lift[dl]] = master.dart_vertex[darts[dl // 2]]
-    cov.base_edge = [0] * cov.n_edges
-    for dl in range(2 * n):
-        cov.base_edge[cov.edge_of_lift[dl]] = master.edge_of_dart[darts[dl // 2]]
-    cov.branch_vertices = sorted(
-        {
-            cov.vertex_of_lift[dl]
-            for dl in range(2 * n)
-            if cov.vertex_of_lift[dl] == cov.vertex_of_lift[dl ^ 1]
-        }
-    )
-
-    _lift_arcs(cov)
-    _validate_cover(cov)
-    return cov
-
-
-def _lift_arcs(cov: CoverComplex) -> None:
-    master = cov.master
-    for aid in sorted(master.subgraph):
-        arc = master.smap.arcs[aid]
-        eidx = master.edge_of_arc[aid]
-        if eidx in master.branch_cuts:
-            raise ConstructionError(f"branch cut runs along arc {aid}")
-        ce0, ce1 = cov.cover_edges_of_arc(aid)
-        if arc.kind == "edge":
-            # the two lifts close up into one cycle through two branch points
-            cycle = tuple(sorted({ce0, ce1}))
-            if len(cycle) != 2:
-                raise ConstructionError(f"edge arc {aid} lifted to one edge")
-            ends0 = cov.edge_endpoints(ce0)
-            ends1 = cov.edge_endpoints(ce1)
-            if ends0 != ends1 or ends0[0] == ends0[1]:
-                raise ConstructionError(f"edge arc {aid} lift is not a bigon")
-            cov.lifted_cycles[aid] = [cycle]
-            cov.kept_cycle[aid] = cycle
-            cov.hsharp.update(cycle)
-        else:
-            # figure eight: two loop lifts wedged at the single branch lift
-            if ce0 == ce1:
-                raise ConstructionError(f"loop arc {aid} lifted to one edge")
-            e0, e1 = cov.edge_endpoints(ce0), cov.edge_endpoints(ce1)
-            if not (e0[0] == e0[1] == e1[0] == e1[1]):
-                raise ConstructionError(f"loop arc {aid} lift is not a figure eight")
-            d_min = min(arc.darts)
-            kept = cov.edge_of_lift[2 * cov.dart_index[d_min]]
-            other = ce1 if kept == ce0 else ce0
-            cov.lifted_cycles[aid] = [(kept,), (other,)]
-            cov.kept_cycle[aid] = (kept,)
-            cov.hsharp.add(kept)
-
-
-def _validate_cover(cov: CoverComplex) -> None:
-    expected_chi = 4 - cov.n_cone
-    if cov.euler() != expected_chi:
-        raise ConstructionError(
-            f"cover Euler characteristic {cov.euler()}, expected {expected_chi}"
-        )
-    if not cov.is_connected():
-        raise ConstructionError("cover is disconnected")
-    branch_base = sorted(cov.base_vertex[cv] for cv in cov.branch_vertices)
-    cone = sorted(
-        v for v in cov.master.rotations if cov.master.smap.cone.get(v, True)
-    )
-    if branch_base != cone:
-        raise ConstructionError("sheet swap does not fix exactly the cone points")
-    n = len(cov.sigma_hat)
-    for dl in range(n):
-        if cov.sigma_hat[dl ^ 1] != cov.sigma_hat[dl] ^ 1:
-            raise ConstructionError("sheet swap is not a map automorphism")
-        if cov.alpha_hat[dl ^ 1] != cov.alpha_hat[dl] ^ 1:
-            raise ConstructionError("sheet swap is not a map automorphism")
-        if cov.alpha_hat[cov.alpha_hat[dl]] != dl:
-            raise ConstructionError("edge pairing is not an involution")
+    return CoverComplex(MasterComplex(smap, subgraph))
 
 
 # -- queries -----------------------------------------------------------
@@ -564,6 +530,17 @@ def verdict(smap: SphereMap, subgraph) -> tuple[int, int]:
         if len(sub) > 2 * smap.genus:
             raise ConstructionError("more independent curves than 2*genus")
     return components, rank
+
+
+def check_agreement(subgraph, parity: bool, basis: bool) -> None:
+    """The parity test and the cover oracle must give one verdict; when
+    they differ, one of them is wrong."""
+    if parity != basis:
+        word = {True: "nonseparating", False: "separating"}
+        raise ConstructionError(
+            f"oracles disagree on arcs {sorted(subgraph)}: "
+            f"parity {word[parity]}, cover {word[basis]}"
+        )
 
 
 def is_partial_basis(smap: SphereMap, subgraph) -> bool:

@@ -312,7 +312,8 @@ def verify(result: PruneResult, smap: SphereMap) -> dict:
     vertex, the arc count meets the guaranteed floor, the blocks
     partition the kept arcs with healthy ratios, and the double-cover
     oracle confirms an independent lift.  Raises VerificationFailure
-    naming the first broken invariant.
+    naming the first broken invariant, and ConstructionError when the
+    parity test and the cover oracle disagree.
     """
     final = smap.without_arcs(set(result.deleted))
     kept = set(result.kept)
@@ -334,11 +335,10 @@ def verify(result: PruneResult, smap: SphereMap) -> dict:
         if b.ratio() < 1.0 / 3.0 - 1e-12:
             raise VerificationFailure(f"block {b} has ratio below one third")
     basis = cover.is_partial_basis(final, kept)
+    parity = all(region_admits_odd_curve(tree, n) for n in tree.nodes)
+    cover.check_agreement(kept, parity, basis)
     if not basis:
         raise VerificationFailure("cover oracle reports a separating system")
-    parity = all(region_admits_odd_curve(tree, n) for n in tree.nodes)
-    if not parity:
-        raise VerificationFailure("parity test reports a separating system")
     return {
         "arcs_kept": len(kept),
         "kappa": bounds.kappa(result.genus),

@@ -237,13 +237,16 @@ def components(smap: "SphereMap", arc_ids) -> list[Component]:
 
 
 class SphereMap(RotationSystem):
-    """Immutable validated sphere arrangement of arcs on cone vertices."""
+    """Immutable validated sphere arrangement of arcs on cone vertices.
+
+    Every vertex is a cone point of angle pi (a branch point of the
+    double cover), so the genus is (vertex count - 2) / 2.
+    """
 
     def __init__(
         self,
         rotations: dict[int, list[int]],
         arcs: dict[int, Arc],
-        cone: dict[int, bool],
         genus: int | None = None,
         regions: list[dict] | None = None,
         *,
@@ -251,11 +254,10 @@ class SphereMap(RotationSystem):
     ):
         super().__init__(rotations)
         self.arcs = dict(arcs)
-        self.cone = dict(cone)
         self._pair_darts()
         self._build_faces(_faces)
         self._build_components()
-        self.n_cone = sum(1 for v in self.cone if self.cone[v])
+        self.n_cone = len(self.rotations)
         if self.n_cone < 4 or self.n_cone % 2:
             raise EmbeddingError(
                 f"need an even number >= 4 of cone vertices, got {self.n_cone}"
@@ -441,7 +443,7 @@ class SphereMap(RotationSystem):
                     else self.region_of_isolated[v]
                 )
                 group(region)["isolated"].append(v)
-        return SphereMap(rotations, kept_arcs, self.cone, regions=groups, _faces=faces)
+        return SphereMap(rotations, kept_arcs, regions=groups, _faces=faces)
 
     # -- serialization -----------------------------------------------
 
@@ -451,7 +453,7 @@ class SphereMap(RotationSystem):
             "vertices": [
                 {
                     "id": v,
-                    "cone": bool(self.cone[v]),
+                    "cone": True,
                     "rotation": list(self.rotations[v]),
                 }
                 for v in sorted(self.rotations)
@@ -477,8 +479,9 @@ class SphereMap(RotationSystem):
 def from_json(data) -> SphereMap:
     """Build and validate a SphereMap from its JSON description.
 
-    Ids and darts must be JSON integers, ``cone`` a JSON boolean, and
-    vertex and arc ids unique; nothing is coerced.
+    Ids and darts must be JSON integers, and vertex and arc ids unique;
+    nothing is coerced.  ``cone``, when given, must be ``true``: every
+    vertex is a cone point.
     """
     if isinstance(data, str):
         try:
@@ -489,15 +492,16 @@ def from_json(data) -> SphereMap:
         raise InputError("map description must be an object")
     try:
         rotations = {}
-        cone = {}
         for i, v in enumerate(data["vertices"]):
             vid = json_int(v["id"], f"vertices[{i}].id")
             if vid in rotations:
                 raise InputError(f"vertices[{i}] repeats vertex id {vid}")
             rotations[vid] = _json_ints(v["rotation"], f"vertices[{i}].rotation")
-            cone[vid] = v.get("cone", True)
-            if not isinstance(cone[vid], bool):
-                raise InputError(f"vertices[{i}].cone must be a boolean, got {cone[vid]!r}")
+            cone = v.get("cone", True)
+            if not isinstance(cone, bool):
+                raise InputError(f"vertices[{i}].cone must be a boolean, got {cone!r}")
+            if not cone:
+                raise InputError(f'vertex {vid} is not a cone point ("cone": false)')
         owner = {d: v for v, rot in rotations.items() for d in rot}
         entries = {}
         for i, a in enumerate(data["arcs"]):
@@ -525,7 +529,6 @@ def from_json(data) -> SphereMap:
     return SphereMap(
         rotations,
         arcs,
-        cone,
         genus=None if genus is None else json_int(genus, "genus"),
         regions=regions,
     )
@@ -709,14 +712,14 @@ def region_tree(smap: SphereMap, subgraph) -> RegionTree:
     if len(nodes) != len(loop_arcs) + 1:
         raise EmbeddingError("regions and loops do not form a tree")
 
-    # isolated-in-subgraph cone vertices
+    # vertices isolated in the subgraph
     sub_degree = {v: 0 for v in smap.rotations}
     for aid in sub:
         a = arcs[aid]
         sub_degree[a.u] += 1
         sub_degree[a.v] += 1
     for v in sorted(smap.rotations):
-        if sub_degree[v] == 0 and smap.cone.get(v, True):
+        if sub_degree[v] == 0:
             if smap.rotations[v]:
                 r = smap.corner_region(smap.rotations[v][0])
             else:
@@ -810,7 +813,6 @@ class MapBuilder(RotationSystem):
         super().__init__({int(v): [] for v in vertex_ids})
         if len(self.rotations) < 2:
             raise InputError("need at least two vertices")
-        self.cone = {v: True for v in self.rotations}
         self.arcs: dict[int, Arc] = {}
         self._n_regions = 1
         self._region_of = dict.fromkeys(self.rotations, 0)   # bare vertex -> region
@@ -941,4 +943,4 @@ class MapBuilder(RotationSystem):
             regions[r]["faces"].append(fk)
         for v, r in sorted(self._region_of.items()):
             regions[r]["isolated"].append(v)
-        return SphereMap(self.rotations, self.arcs, self.cone, regions=regions)
+        return SphereMap(self.rotations, self.arcs, regions=regions)

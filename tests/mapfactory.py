@@ -22,7 +22,7 @@ def polygon_cycle(n: int) -> SphereMap:
         arcs[k + 1] = Arc(id=k + 1, kind="edge", u=u, v=w, darts=(2 * k, 2 * k + 1))
         rot[u].append(2 * k)
         rot[w].append(2 * k + 1)
-    return SphereMap(rot, arcs, {v: True for v in rot})
+    return SphereMap(rot, arcs)
 
 
 def hexagon_sub(kept) -> SphereMap:

@@ -5,21 +5,28 @@
 Writes the inputs below into a temporary directory, runs each command
 once in process through ``hyperbasis.cli.main`` and writes its exit
 code, the sha256 of its stdout and its stderr to ``golden_reports.json``,
-which ``test_golden_reports.py`` checks.  Rerun it only when a change is
-meant to alter a report or a message, and say so in the change.
+which ``test_golden_reports.py`` checks.  The same file pins one sha256
+of the prune results of each seeded map family (region ids in traces and
+messages follow the order of region merges) and the cover debug dumps
+of a few fixed systems.  Rerun it only when a change is meant to alter
+a report or a message, and say so in the change.
 """
 
 from __future__ import annotations
 
 import contextlib
+import dataclasses
 import hashlib
+import importlib
 import io
 import json
+import random
 import sys
 from pathlib import Path
 
 HERE = Path(__file__).resolve().parent
 GOLDEN = HERE / "golden_reports.json"
+PERFBENCH = HERE.parent / "perfbench"
 
 COMMANDS = [
     ["bounds", "--genus", "2"],
@@ -58,6 +65,69 @@ def write_inputs(directory: Path) -> None:
     (directory / "synthetic.json").write_text(json.dumps(model))
 
 
+PRUNE_FAMILIES = ["random_growth_map", "nested_arrangement"]
+COVER_DUMPS = ["hexagon_sub([1, 3])", "block_family(3)", "nested_arrangement(16)"]
+
+
+def perfbench_gen():
+    sys.path.insert(0, str(PERFBENCH))
+    try:
+        return importlib.import_module("gen")
+    finally:
+        sys.path.remove(str(PERFBENCH))
+
+
+def family_maps(family: str) -> list:
+    """The seeded maps of one prune family."""
+    from hyperbasis import families, spheremap
+
+    if family == "random_growth_map":
+        rng = random.Random(15)
+        return [families.random_growth_map(rng, rng.randrange(4, 81, 2)) for _ in range(300)]
+    gen = perfbench_gen()
+    rng = random.Random(16)
+    return [
+        spheremap.from_json(gen.nested_arrangement(rng, rng.randrange(8, 129, 2))[0])
+        for _ in range(150)
+    ]
+
+
+def prune_digest(maps) -> str:
+    """sha256 over every map's kept, deleted, blocks and trace, or the
+    type and message of the error its prune raised."""
+    from hyperbasis import prune
+    from hyperbasis.errors import HyperbasisError
+
+    digest = hashlib.sha256()
+    for smap in maps:
+        try:
+            r = prune.prune(smap)
+            row = {"kept": r.kept, "deleted": r.deleted, "trace": r.trace,
+                   "blocks": [dataclasses.asdict(b) for b in r.blocks]}
+        except HyperbasisError as e:
+            row = {"error": type(e).__name__, "message": str(e)}
+        digest.update(json.dumps(row, sort_keys=True).encode() + b"\n")
+    return digest.hexdigest()
+
+
+def cover_dump(name: str) -> str:
+    """``to_debug_json()`` of one of the ``COVER_DUMPS`` covers."""
+    from mapfactory import hexagon_sub
+
+    from hyperbasis import cover, families, spheremap
+
+    if name == "hexagon_sub([1, 3])":
+        smap, sub = hexagon_sub([1, 3]), [1, 3]
+    elif name == "block_family(3)":
+        smap = families.block_family(3)
+        sub = sorted(smap.arcs)
+    else:
+        rng = random.Random(17)
+        smap = spheremap.from_json(perfbench_gen().nested_arrangement(rng, 16)[0])
+        sub = families.random_subgraph(rng, smap)
+    return cover.build_cover(smap, sub).to_debug_json()
+
+
 def outcome(argv: list[str]) -> dict:
     """Exit code, stdout digest and stderr of one in-process command,
     run in the directory holding its inputs."""
@@ -83,4 +153,10 @@ if __name__ == "__main__":
         write_inputs(Path(tmp))
         os.chdir(tmp)
         rows = [json.dumps(outcome(argv)) for argv in COMMANDS]
-    GOLDEN.write_text("[\n" + ",\n".join(rows) + "\n]\n")
+    prunes = {f: prune_digest(family_maps(f)) for f in PRUNE_FAMILIES}
+    dumps = [f"{json.dumps(name)}: {cover_dump(name)}" for name in COVER_DUMPS]
+    GOLDEN.write_text(
+        '{\n"commands": [\n' + ",\n".join(rows) + "\n],\n"
+        f'"prune_families": {json.dumps(prunes, indent=1)},\n'
+        '"cover_dumps": {\n' + ",\n".join(dumps) + "\n}\n}\n"
+    )

@@ -399,6 +399,68 @@ def test_genus_one_prune_exits_2_before_pruning(monkeypatch, tmp_path, capsys):
     assert calls == []
 
 
+@pytest.mark.parametrize("command", ["prune", "verify"])
+def test_map_file_not_utf8_exits_2(command, tmp_path, capsys):
+    path = tmp_path / "map.json"
+    path.write_bytes(b"\xff\xfe" + families.block_family(4).to_json().encode("utf-16-le"))
+    code, out, err = run([command, "--map", str(path)], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("invalid input: map file is not UTF-8")
+
+
+@pytest.mark.parametrize("marked", [(2, 5), (1, 4)], ids=["bone ends", "loop bases"])
+@pytest.mark.parametrize(
+    "argv", [["prune"], ["verify"], ["verify", "--subset", "2,4"]], ids=" ".join
+)
+def test_non_cone_vertex_exits_2(marked, argv, tmp_path, capsys):
+    data = families.block_family(4).to_dict()
+    del data["genus"]
+    for v in data["vertices"]:
+        if v["id"] in marked:
+            v["cone"] = False
+    path = tmp_path / "map.json"
+    path.write_text(json.dumps(data))
+    code, out, err = run([argv[0], "--map", str(path), *argv[1:]], capsys)
+    assert code == 2
+    assert out == ""
+    assert err == f"invalid input: vertex {marked[0]} is not a cone point (\"cone\": false)\n"
+
+
+@pytest.fixture
+def parity_flipped(monkeypatch):
+    """The parity test answers the opposite of what it finds."""
+    real_map, real_region = cli.sphere.is_nonseparating, prune.region_admits_odd_curve
+    monkeypatch.setattr(cli.sphere, "is_nonseparating", lambda m, s: not real_map(m, s))
+    monkeypatch.setattr(prune, "region_admits_odd_curve", lambda t, n: not real_region(t, n))
+
+
+@pytest.mark.parametrize(
+    "subset, verdicts",
+    [
+        ("1,2", "parity separating, cover nonseparating"),
+        ("1,2,3", "parity nonseparating, cover separating"),
+    ],
+)
+def test_verify_oracles_disagreeing_exits_4(parity_flipped, subset, verdicts, tmp_path, capsys):
+    path = tmp_path / "three.json"
+    path.write_text(bones([(1, 2), (3, 4), (5, 6)], 6).to_json())
+    code, out, err = run(["verify", "--map", str(path), "--subset", subset], capsys)
+    assert code == 4
+    assert out == ""
+    assert f"ConstructionError: oracles disagree on arcs [{subset.replace(',', ', ')}]: {verdicts}" in err
+
+
+def test_prune_oracles_disagreeing_exits_4(parity_flipped, tmp_path, capsys):
+    path = tmp_path / "fam.json"
+    path.write_text(families.block_family(4).to_json())
+    code, out, err = run(["prune", "--map", str(path)], capsys)
+    assert code == 4
+    assert out == ""
+    assert "ConstructionError: oracles disagree on arcs [1, 3, 5, 7]: " \
+        "parity separating, cover nonseparating" in err
+
+
 # -- mutated inputs only ever exit with a documented input-side code -------
 
 JSON_VALUES = st.recursive(

@@ -220,7 +220,7 @@ def boundary_cycle_arc_graph(model, log):
         for a in sub.arcs.values()
     }
     return SphereMap(
-        sub.rotations, arcs, sub.cone, regions=[dict(r) for r in sub.regions]
+        sub.rotations, arcs, regions=[dict(r) for r in sub.regions]
     )
 
 

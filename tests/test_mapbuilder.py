@@ -26,7 +26,6 @@ class ReferenceMapBuilder(sm.RotationSystem):
         super().__init__({int(v): [] for v in vertex_ids})
         if len(self.rotations) < 2:
             raise InputError("need at least two vertices")
-        self.cone = {v: True for v in self.rotations}
         self.arcs = {}
         self._regions = [{"faces": set(), "isolated": set(self.rotations)}]
         self._face_region = {}
@@ -169,7 +168,7 @@ class ReferenceMapBuilder(sm.RotationSystem):
             {"faces": sorted(r["faces"]), "isolated": sorted(r["isolated"])}
             for r in self._regions
         ]
-        return sm.SphereMap(self.rotations, self.arcs, self.cone, regions=regions)
+        return sm.SphereMap(self.rotations, self.arcs, regions=regions)
 
 
 class TwinBuilder:

@@ -77,14 +77,14 @@ def reference_region_tree(smap: SphereMap, subgraph) -> RegionTree:
     if len(nodes) != len(loop_arcs) + 1:
         raise EmbeddingError("regions and loops do not form a tree")
 
-    # isolated-in-subgraph cone vertices
+    # vertices isolated in the subgraph
     sub_degree = {v: 0 for v in smap.rotations}
     for aid in sub:
         a = smap.arcs[aid]
         sub_degree[a.u] += 1
         sub_degree[a.v] += 1
     for v in sorted(smap.rotations):
-        if sub_degree[v] == 0 and smap.cone.get(v, True):
+        if sub_degree[v] == 0:
             if smap.rotations[v]:
                 r = smap.corner_region(smap.rotations[v][0])
             else:
@@ -293,7 +293,7 @@ def master_map(smap: SphereMap, subgraph) -> SphereMap:
     for e in master.edges:
         u, w = (master.dart_vertex[d] for d in e.darts)
         arcs[e.idx] = Arc(id=e.idx, kind="loop" if u == w else "edge", u=u, v=w, darts=e.darts)
-    return SphereMap(master.rotations, arcs, smap.cone)
+    return SphereMap(master.rotations, arcs)
 
 
 def test_cover_master_subsets_match_reference():
@@ -315,7 +315,7 @@ def dart_map(rotations: dict[int, list[int]]) -> SphereMap:
     for k in range(len(owner) // 2):
         u, w = owner[2 * k], owner[2 * k + 1]
         arcs[k] = Arc(id=k, kind="loop" if u == w else "edge", u=u, v=w, darts=(2 * k, 2 * k + 1))
-    return SphereMap(rotations, arcs, {v: True for v in rotations})
+    return SphereMap(rotations, arcs)
 
 
 SHAPES = {

@@ -105,7 +105,6 @@ def test_theta_graph_invalid():
     theta = sm.SphereMap(
         rot,
         arcs,
-        {v: True for v in rot},
         regions=[
             {"faces": [0], "isolated": []},
             {"faces": [1], "isolated": [3]},
@@ -318,7 +317,6 @@ def replayed_without_arcs(smap, removed):
     sub = sm.SphereMap.__new__(sm.SphereMap)
     sm.RotationSystem.__init__(sub, rotations)
     sub.arcs = kept_arcs
-    sub.cone = dict(smap.cone)
     sub._pair_darts()
     sub._build_faces()
     sub._build_components()
