@@ -172,9 +172,8 @@ def cmd_verify(args) -> int:
     smap = _read_map(args.map)
     subset = frozenset(smap.arcs) if args.subset is None else _parse_subset(args.subset)
     parity = sphere.is_nonseparating(smap, subset)
-    components, rank = cover.verdict(smap, subset)
+    components, rank = cover.verdict(smap, subset, parity)
     verdict = components == 1
-    cover.check_agreement(subset, parity, verdict)
     payload = {
         "arcs": sorted(subset),
         "parity_nonseparating": parity,
@@ -195,6 +194,9 @@ def cmd_pipeline(args) -> int:
     t0 = time.perf_counter()
     model = _load_model(args.model, args.genus)
     g = model.genus
+    payload: dict = {}
+    if args.lam is not None:        # a ratio outside (0, 1) exits before growth runs
+        payload["jacobian"] = _bounds_payload(g, args.lam)["energy_rows"]
     log = growth.simulate(model)
     radius_report = growth.verify_radius_bounds(log)
     graph = growth.arc_graph(log, model)
@@ -235,7 +237,7 @@ def cmd_pipeline(args) -> int:
             }
         )
 
-    payload = {
+    payload |= {
         "genus": g,
         "model": model.name,
         "growth": {
@@ -257,8 +259,6 @@ def cmd_pipeline(args) -> int:
         "verification": dict(verification, theorem_chain_ok=chain_ok),
         "theorem_chain": chain,
     }
-    if args.lam is not None:
-        payload["jacobian"] = _bounds_payload(g, args.lam)["energy_rows"]
     _write(args.out, jsonio.dumps(payload))
     t3 = time.perf_counter()
     print(

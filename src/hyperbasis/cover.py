@@ -41,8 +41,6 @@ __all__ = [
     "complement_components",
     "z2_cycle_rank",
     "verdict",
-    "check_agreement",
-    "is_partial_basis",
 ]
 
 
@@ -511,38 +509,32 @@ def z2_cycle_rank(cov: CoverComplex, cycles) -> int:
     return _gf2_extend(basis, masks)
 
 
-def verdict(smap: SphereMap, subgraph) -> tuple[int, int]:
+def verdict(smap: SphereMap, subgraph, parity: bool) -> tuple[int, int]:
     """Complement components of the lifted system (one loop per figure
-    eight) in the cover, and the GF(2) rank of its classes.
+    eight) in the cover, and the GF(2) rank of its classes, checked
+    against ``parity``, the parity test's verdict on the same system.
 
     A connected complement means the system extends to a homology basis;
-    then the rank must equal the number of arcs, at most 2*genus.
+    then the rank must equal the number of arcs, at most 2*genus.  The
+    parity test must call the system nonseparating exactly then; when
+    the two oracles differ, one of them is wrong.
     """
     sub = frozenset(int(a) for a in subgraph)
     cov = build_cover(smap, sub)
     components = complement_components(cov)
     rank = z2_cycle_rank(cov, [cov.kept_cycle[a] for a in sorted(sub)])
-    if components == 1:
+    basis = components == 1
+    if basis:
         if rank != len(sub):
             raise ConstructionError(
                 f"connected complement but rank {rank} != {len(sub)} curves"
             )
         if len(sub) > 2 * smap.genus:
             raise ConstructionError("more independent curves than 2*genus")
-    return components, rank
-
-
-def check_agreement(subgraph, parity: bool, basis: bool) -> None:
-    """The parity test and the cover oracle must give one verdict; when
-    they differ, one of them is wrong."""
     if parity != basis:
         word = {True: "nonseparating", False: "separating"}
         raise ConstructionError(
-            f"oracles disagree on arcs {sorted(subgraph)}: "
+            f"oracles disagree on arcs {sorted(sub)}: "
             f"parity {word[parity]}, cover {word[basis]}"
         )
-
-
-def is_partial_basis(smap: SphereMap, subgraph) -> bool:
-    """Whether the lifted system extends to a homology basis."""
-    return verdict(smap, subgraph)[0] == 1
+    return components, rank

@@ -306,20 +306,21 @@ def prune(smap: SphereMap) -> PruneResult:
 
 
 def verify(result: PruneResult, smap: SphereMap) -> dict:
-    """Re-derive every invariant of a pruning result from scratch.
+    """Re-derive every invariant of a pruning result from scratch, on the
+    kept arcs as a subgraph of the input map.
 
-    Checks that each region of the complement contains an isolated
-    vertex, the arc count meets the guaranteed floor, the blocks
-    partition the kept arcs with healthy ratios, and the double-cover
-    oracle confirms an independent lift.  Raises VerificationFailure
-    naming the first broken invariant, and ConstructionError when the
-    parity test and the cover oracle disagree.
+    Checks that the kept and deleted arcs split the map's arcs, that each
+    region of the sphere minus the kept loops contains a vertex the kept
+    arcs leave isolated, the arc count meets the guaranteed floor, the
+    blocks partition the kept arcs with healthy ratios, and the parity
+    test and the double-cover oracle both find the lifted system
+    independent.  Raises VerificationFailure naming the first broken
+    invariant, and ConstructionError when the two oracles disagree.
     """
-    final = smap.without_arcs(set(result.deleted))
-    kept = set(result.kept)
-    if set(final.arcs) != kept:
+    kept, deleted = set(result.kept), set(result.deleted)
+    if kept & deleted or kept | deleted != set(smap.arcs):
         raise VerificationFailure("kept arcs disagree with deletions")
-    tree = region_tree(final, kept)
+    tree = region_tree(smap, kept)
     for nid, node in tree.nodes.items():
         if not node.isolated:
             raise VerificationFailure(f"region {nid} contains no isolated vertex")
@@ -334,10 +335,9 @@ def verify(result: PruneResult, smap: SphereMap) -> dict:
     for b in result.blocks:
         if b.ratio() < 1.0 / 3.0 - 1e-12:
             raise VerificationFailure(f"block {b} has ratio below one third")
-    basis = cover.is_partial_basis(final, kept)
     parity = all(region_admits_odd_curve(tree, n) for n in tree.nodes)
-    cover.check_agreement(kept, parity, basis)
-    if not basis:
+    components, rank = cover.verdict(smap, kept, parity)
+    if components != 1:
         raise VerificationFailure("cover oracle reports a separating system")
     return {
         "arcs_kept": len(kept),
@@ -346,5 +346,5 @@ def verify(result: PruneResult, smap: SphereMap) -> dict:
         "regions": len(tree.nodes),
         "parity_nonseparating": True,
         "partial_basis": True,
-        "rank": len(kept),
+        "rank": rank,
     }

@@ -404,6 +404,25 @@ class SphereMap(RotationSystem):
         """
         return self.region_of_face[self.face_of[self.sigma[dart]]]
 
+    def vertex_region(self, v: int) -> int:
+        """Region of the corner after the first dart at ``v``, or of ``v``
+        itself when it is bare.  Once the arcs at ``v`` are erased, all
+        its corners lie in that region."""
+        rot = self.rotations[v]
+        return self.corner_region(rot[0]) if rot else self.region_of_isolated[v]
+
+    def merged_regions(self, arc_ids) -> list[int]:
+        """New index of every region once the two sides of each given arc
+        merge.  The unions run in the given order, and merged regions are
+        numbered by their sorted union-find roots, so the order fixes the
+        numbering."""
+        uf = _UnionFind(range(len(self.regions)))
+        for aid in arc_ids:
+            uf.union(*self.side_regions(aid))
+        roots = [uf.find(r) for r in range(len(self.regions))]
+        new_idx = {root: i for i, root in enumerate(sorted(set(roots)))}
+        return [new_idx[root] for root in roots]
+
     def without_arcs(self, removed: set[int]) -> "SphereMap":
         """The arrangement with the given arcs erased from the sphere: the
         regions on the two sides of an erased arc merge, and every kept
@@ -419,30 +438,16 @@ class SphereMap(RotationSystem):
             v: [d for d in rot if d not in dead_darts]
             for v, rot in self.rotations.items()
         }
-        uf = _UnionFind(range(len(self.regions)))
-        for aid in removed:
-            uf.union(*self.side_regions(aid))
-        # regroup: old region class -> new region index
-        new_idx = {root: i for i, root in enumerate(sorted(uf.classes()))}
-        groups: list[dict] = [{"faces": [], "isolated": []} for _ in new_idx]
-
-        def group(old_region: int) -> dict:
-            return groups[new_idx[uf.find(old_region)]]
-
+        new_idx = self.merged_regions(removed)
+        groups = [{"faces": [], "isolated": []} for _ in range(max(new_idx) + 1)]
         # sigma o alpha off the kept rotations: alpha(d) -> successor of d
         faces = _orbits({self.alpha[d]: rot[(i + 1) % len(rot)]
                          for rot in rotations.values() for i, d in enumerate(rot)})
         for f in faces:
-            group(self.region_of_face[self.face_of[f[0]]])["faces"].append(f[0])
+            groups[new_idx[self.region_of_face[self.face_of[f[0]]]]]["faces"].append(f[0])
         for v, rot in rotations.items():
             if not rot:
-                old = self.rotations[v]
-                region = (
-                    self.region_of_face[self.face_of[old[0]]]
-                    if old
-                    else self.region_of_isolated[v]
-                )
-                group(region)["isolated"].append(v)
+                groups[new_idx[self.vertex_region(v)]]["isolated"].append(v)
         return SphereMap(rotations, kept_arcs, regions=groups, _faces=faces)
 
     # -- serialization -----------------------------------------------
@@ -688,22 +693,13 @@ def region_tree(smap: SphereMap, subgraph) -> RegionTree:
 
     # merge map regions across every arc that is not a subgraph loop
     loop_set = set(loop_arcs)
-    uf = _UnionFind(range(len(smap.regions)))
-    for aid in arcs:
-        if aid not in loop_set:
-            r1, r2 = smap.side_regions(aid)
-            uf.union(r1, r2)
-    roots = sorted({uf.find(r) for r in range(len(smap.regions))})
-    node_of_class = {root: i for i, root in enumerate(roots)}
-    nodes = {i: RegionNode(id=i) for i in range(len(roots))}
-
-    def node_of_region(r: int) -> int:
-        return node_of_class[uf.find(r)]
+    node_of_region = smap.merged_regions(a for a in arcs if a not in loop_set)
+    nodes = {i: RegionNode(id=i) for i in range(max(node_of_region) + 1)}
 
     sides = {}
     for lam in loop_arcs:
         r1, r2 = smap.side_regions(lam)
-        n1, n2 = node_of_region(r1), node_of_region(r2)
+        n1, n2 = node_of_region[r1], node_of_region[r2]
         if n1 == n2:
             raise EmbeddingError(f"loop {lam} does not separate the sphere")
         sides[lam] = (n1, n2)
@@ -720,18 +716,14 @@ def region_tree(smap: SphereMap, subgraph) -> RegionTree:
         sub_degree[a.v] += 1
     for v in sorted(smap.rotations):
         if sub_degree[v] == 0:
-            if smap.rotations[v]:
-                r = smap.corner_region(smap.rotations[v][0])
-            else:
-                r = smap.region_of_isolated[v]
-            nodes[node_of_region(r)].isolated.append(v)
+            nodes[node_of_region[smap.vertex_region(v)]].isolated.append(v)
 
     for root, verts in puf.classes().items():
         # a stem dart determines its side of the loop; all corners at a
         # vertex off the loop bases lie in one node
         base, corner = piece_stem.get(root, (None, smap.rotations[root][0]))
         piece = _Piece(tuple(sorted(verts)), base)
-        nodes[node_of_region(smap.corner_region(corner))].pieces.append(piece)
+        nodes[node_of_region[smap.corner_region(corner)]].pieces.append(piece)
 
     for n in nodes.values():
         n.boundary.sort()

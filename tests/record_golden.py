@@ -7,8 +7,9 @@ once in process through ``hyperbasis.cli.main`` and writes its exit
 code, the sha256 of its stdout and its stderr to ``golden_reports.json``,
 which ``test_golden_reports.py`` checks.  The same file pins one sha256
 of the prune results of each seeded map family (region ids in traces and
-messages follow the order of region merges) and the cover debug dumps
-of a few fixed systems.  Rerun it only when a change is meant to alter
+messages follow the order of region merges), one of the ``prune.verify``
+reports of the maps in it that prune, and the cover debug dumps of a
+few fixed systems.  Rerun it only when a change is meant to alter
 a report or a message, and say so in the change.
 """
 
@@ -110,6 +111,26 @@ def prune_digest(maps) -> str:
     return digest.hexdigest()
 
 
+def verify_digest(maps) -> str:
+    """sha256 over the ``prune.verify`` report of every map that prunes,
+    or the type and message of the error the check raised."""
+    from hyperbasis import prune
+    from hyperbasis.errors import HyperbasisError
+
+    digest = hashlib.sha256()
+    for smap in maps:
+        try:
+            result = prune.prune(smap)
+        except HyperbasisError:
+            continue
+        try:
+            row = prune.verify(result, smap)
+        except HyperbasisError as e:
+            row = {"error": type(e).__name__, "message": str(e)}
+        digest.update(json.dumps(row, sort_keys=True).encode() + b"\n")
+    return digest.hexdigest()
+
+
 def cover_dump(name: str) -> str:
     """``to_debug_json()`` of one of the ``COVER_DUMPS`` covers."""
     from mapfactory import hexagon_sub
@@ -153,10 +174,13 @@ if __name__ == "__main__":
         write_inputs(Path(tmp))
         os.chdir(tmp)
         rows = [json.dumps(outcome(argv)) for argv in COMMANDS]
-    prunes = {f: prune_digest(family_maps(f)) for f in PRUNE_FAMILIES}
+    maps = {f: family_maps(f) for f in PRUNE_FAMILIES}
+    prunes = {f: prune_digest(maps[f]) for f in PRUNE_FAMILIES}
+    verifies = {f: verify_digest(maps[f]) for f in PRUNE_FAMILIES}
     dumps = [f"{json.dumps(name)}: {cover_dump(name)}" for name in COVER_DUMPS]
     GOLDEN.write_text(
         '{\n"commands": [\n' + ",\n".join(rows) + "\n],\n"
         f'"prune_families": {json.dumps(prunes, indent=1)},\n'
+        f'"verify_families": {json.dumps(verifies, indent=1)},\n'
         '"cover_dumps": {\n' + ",\n".join(dumps) + "\n}\n}\n"
     )

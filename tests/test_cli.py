@@ -91,6 +91,17 @@ def test_pipeline_with_lambda(tmp_path, capsys):
     assert len(report["jacobian"]) == 2    # ceil(0.9 * 2/3 * 3)
 
 
+@pytest.mark.parametrize("lam", ["1.5", "0", "-0.25"])
+def test_pipeline_bad_lambda_exits_2_before_growth(lam, monkeypatch, capsys):
+    calls = []
+    monkeypatch.setattr(cli.growth, "simulate", calls.append)
+    code, out, err = run(["pipeline", "--genus", "26", "--lambda", lam], capsys)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: ratio must lie in (0, 1), got {float(lam)}\n"
+    assert calls == []
+
+
 def test_parsed_values_do_not_leak_between_calls(tmp_path, capsys):
     """One parser serves every call in the process."""
     out = tmp_path / "r.json"

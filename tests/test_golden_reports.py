@@ -4,7 +4,8 @@ only pins what it runs (``pipeline``, ``prune --map`` and ``verify
 non-zero exit, must reproduce the exit code, stdout digest and stderr
 recorded in ``golden_reports.json`` by ``record_golden.py``.  So must
 the prune results of two seeded map families, where region numbering
-can move, and the debug dumps of three covers."""
+can move, the ``prune.verify`` reports of the maps in them that prune,
+and the debug dumps of three covers."""
 
 import json
 
@@ -18,6 +19,7 @@ from record_golden import (
     family_maps,
     outcome,
     prune_digest,
+    verify_digest,
     write_inputs,
 )
 
@@ -35,6 +37,7 @@ def test_golden_file_lists_every_command():
     assert [e["argv"] for e in EXPECTED["commands"]] == COMMANDS
     assert {e["exit"] for e in EXPECTED["commands"]} == {0, 1, 2, 3}
     assert list(EXPECTED["prune_families"]) == PRUNE_FAMILIES
+    assert list(EXPECTED["verify_families"]) == PRUNE_FAMILIES
     assert sorted(EXPECTED["cover_dumps"]) == sorted(COVER_DUMPS)
 
 
@@ -44,9 +47,20 @@ def test_report_matches_golden(expected, inputs, monkeypatch):
     assert outcome(expected["argv"]) == expected
 
 
+@pytest.fixture(scope="module")
+def maps():
+    """Each family's maps, built once for the prune and verify pins."""
+    return {family: family_maps(family) for family in PRUNE_FAMILIES}
+
+
 @pytest.mark.parametrize("family", PRUNE_FAMILIES)
-def test_prune_family_matches_golden(family):
-    assert prune_digest(family_maps(family)) == EXPECTED["prune_families"][family]
+def test_prune_family_matches_golden(family, maps):
+    assert prune_digest(maps[family]) == EXPECTED["prune_families"][family]
+
+
+@pytest.mark.parametrize("family", PRUNE_FAMILIES)
+def test_prune_verify_family_matches_golden(family, maps):
+    assert verify_digest(maps[family]) == EXPECTED["verify_families"][family]
 
 
 @pytest.mark.parametrize("name", COVER_DUMPS)

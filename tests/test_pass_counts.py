@@ -1,9 +1,9 @@
 """``prune --map`` derives each structure of a map once.
 
-One run builds two sphere maps (the input and the final map checked by
-``prune.verify``) and one master complex for the cover oracle, so it
-runs two component passes and three rotation-system constructions, and
-the rank reduces every face-boundary row and every kept cycle once.
+One run builds one sphere map (the input, which ``prune.verify`` also
+checks the kept arcs on) and one master complex for the cover oracle,
+so it runs one component pass and two rotation-system constructions,
+and the rank reduces every face-boundary row and every kept cycle once.
 The passes are counted, not timed, so a reintroduced pass fails on any
 host."""
 
@@ -46,6 +46,5 @@ def test_prune_map_derives_each_structure_once(blocks, tmp_path, monkeypatch, ca
         assert cli.main(["prune", "--map", str(path), "--out", str(out)]) == 0
     capsys.readouterr()
     report = json.loads(out.read_text())
-    final = smap.without_arcs(set(report["deleted"]))
-    rows = cover.build_cover(final, report["kept"]).n_faces + len(report["kept"])
-    assert counts == {"components": 2, "rotation_systems": 3, "gf2_reductions": rows}
+    rows = cover.build_cover(smap, report["kept"]).n_faces + len(report["kept"])
+    assert counts == {"components": 1, "rotation_systems": 2, "gf2_reductions": rows}

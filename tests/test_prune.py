@@ -147,6 +147,23 @@ def test_corrupted_result_fails_verification():
         prune.verify(restored, m)
 
 
+@pytest.mark.parametrize(
+    "kept, deleted",
+    [
+        ((1, 2, 3), (2, 4)),           # arc 2 both kept and deleted
+        ((1, 3), (4,)),                # arc 2 neither
+        ((1, 3), (2, 4, 99)),          # arc 99 not in the map
+    ],
+)
+def test_arc_split_mismatch_fails_verification(kept, deleted):
+    m = families.block_family(2)
+    res = prune.prune(m)
+    assert (res.kept, sorted(res.deleted)) == ((1, 3), [2, 4])
+    bad = prune.PruneResult(res.genus, kept, deleted, res.blocks, res.trace, res.input_isolated)
+    with pytest.raises(VerificationFailure, match="^kept arcs disagree with deletions$"):
+        prune.verify(bad, m)
+
+
 def breaks_gauss_bonnet(m) -> bool:
     """Whether some loop has fewer than two cone points on one side: a
     geodesic loop at an angle-pi cone point bounds a disk of area
