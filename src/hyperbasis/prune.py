@@ -4,7 +4,10 @@ Two preliminary passes first simplify the graph: every looped tree loses
 its loop, and every tree with at least two edges loses one leaf edge,
 the freed leaf forming a paired block with the rest of its tree.  The
 remaining components are bones (single-edge trees), loops, and the
-paired trees.
+paired trees.  No reduced map is built: both passes read the input's
+components, and the one region tree is built on the input with the
+dropped loops, then the dropped leaves, merged first, as erasing them
+would merge them, so region ids are those of the reduced map.
 
 The main algorithm processes the regions of the sphere minus the loops
 in increasing level order.  Each region triggers the first applicable
@@ -79,55 +82,46 @@ class PruneResult:
 def preliminary_steps(smap: SphereMap):
     """Drop loops of looped trees, then one leaf edge per big tree.
 
-    Returns (reduced map, paired blocks, deleted arc ids, trace).
+    Returns (paired blocks, dropped loops, dropped leaf edges, trace).
 
-    Shapes are checked once, on the input's own ``components``: every
-    subgraph of a graph of growth shapes has growth-shaped components
-    again, so the maps derived from it need no second check.
+    Both passes read the input's own ``components``: dropping a looped
+    tree's loop leaves that component's vertices and edges as they were.
+    Shapes are checked there once, as every subgraph of a graph of growth
+    shapes has growth-shaped components again.
     """
-    if any(c.kind is ComponentKind.INVALID for c in smap.components):
-        raise InputError("graph has a component outside the growth shapes")
+    for c in smap.components:
+        if c.kind is ComponentKind.INVALID:
+            raise InputError(f"component at vertex {c.key} ({len(c.loops)} loops, {len(c.edges)} "
+                             f"edges, {len(c.vertices)} vertices) is outside the growth shapes")
     trace: list[dict] = []
-    deleted: list[int] = []
+    loops: list[int] = []
     for comp in smap.components:
         if comp.loops and comp.edges:
-            deleted.append(comp.loops[0])
+            loops.append(comp.loops[0])
             trace.append(
                 {"action": "prelim-drop-loop", "component": comp.key, "arc": comp.loops[0]}
             )
-    work = smap.without_arcs(set(deleted)) if deleted else smap
     blocks: list[Block] = []
-    second: list[int] = []
-    for comp in work.components:
+    leaves: list[int] = []
+    for comp in smap.components:
         if len(comp.edges) < 2:
             continue
-        degree = {v: 0 for v in comp.vertices}
+        degree: dict[int, int] = {}
         at_leaf: dict[int, int] = {}
         for a in comp.edges:
-            arc = work.arcs[a]
-            degree[arc.u] += 1
-            degree[arc.v] += 1
-            at_leaf[arc.u] = a
-            at_leaf[arc.v] = a
+            for v in smap.arcs[a].endpoints():
+                degree[v] = degree.get(v, 0) + 1
+                at_leaf[v] = a
         leaf = max(v for v, d in degree.items() if d == 1)
         drop = at_leaf[leaf]
-        second.append(drop)
+        leaves.append(drop)
         kept = tuple(a for a in comp.edges if a != drop)
-        blocks.append(
-            Block(
-                kind="paired",
-                arcs=kept,
-                vertices=tuple(v for v in comp.vertices if v != leaf),
-                isolated_vertex=leaf,
-            )
-        )
+        vertices = tuple(v for v in comp.vertices if v != leaf)
+        blocks.append(Block(kind="paired", arcs=kept, vertices=vertices, isolated_vertex=leaf))
         trace.append(
             {"action": "prelim-drop-leaf", "component": comp.key, "arc": drop, "freed": leaf}
         )
-    if second:
-        work = work.without_arcs(set(second))
-        deleted.extend(second)
-    return work, blocks, deleted, trace
+    return blocks, loops, leaves, trace
 
 
 @dataclass
@@ -143,11 +137,14 @@ def prune(smap: SphereMap) -> PruneResult:
     """Full pruning pass: preliminary steps, then the level-wise loop
     deletion, returning the kept subgraph with its block decomposition."""
     input_isolated = len(smap.isolated)
-    work, blocks, deleted, trace = preliminary_steps(smap)
+    blocks, loops, leaves, trace = preliminary_steps(smap)
     paired_keys = {min(b.vertices) for b in blocks if b.arcs}
+    deleted = loops + leaves
+    alive = set(smap.arcs).difference(deleted)
 
-    tree = region_tree(work, set(work.arcs))
-    comp_by_key = {c.key: c for c in work.components}
+    # number regions as erasing the loops, then the leaves, did: each batch in set(set(...)) order
+    tree = region_tree(smap, alive, erased=[*set(set(loops)), *set(set(leaves))])
+    comp_by_key = {c.key: c for c in smap.components}
     regions: dict[int, _Region] = {}
     for nid, node in tree.nodes.items():
         regions[nid] = _Region(isolated=set(node.isolated))
@@ -160,12 +157,11 @@ def prune(smap: SphereMap) -> PruneResult:
         outer[child] = lam
         regions[parent].inner.add(lam)
     paired_loops: set[int] = set()
-    alive = set(work.arcs)
     g = smap.genus
 
     def first_base(rid: int) -> float:
-        loops = regions[rid].inner | ({outer[rid]} if rid in outer else set())
-        return min((work.arcs[a].base for a in loops), default=math.inf)
+        boundary = regions[rid].inner | ({outer[rid]} if rid in outer else set())
+        return min((smap.arcs[a].base for a in boundary), default=math.inf)
 
     def pair_with_loop(lam: int, freed: int) -> None:
         if lam in paired_loops:
@@ -173,7 +169,7 @@ def prune(smap: SphereMap) -> PruneResult:
                 f"loop {lam} would join two paired blocks"
             )
         paired_loops.add(lam)
-        base = work.arcs[lam].base
+        base = smap.arcs[lam].base
         blocks.append(
             Block(kind="paired", arcs=(lam,), vertices=(base,), isolated_vertex=freed)
         )
@@ -186,7 +182,7 @@ def prune(smap: SphereMap) -> PruneResult:
             )
         comp = bones.pop(min(bones))
         blocks.append(
-            Block(kind="paired", arcs=comp.arcs, vertices=comp.vertices, isolated_vertex=freed)
+            Block(kind="paired", arcs=comp.edges, vertices=comp.vertices, isolated_vertex=freed)
         )
 
     def merge(lam: int) -> int:
@@ -196,7 +192,7 @@ def prune(smap: SphereMap) -> PruneResult:
         alive.discard(lam)
         deleted.append(lam)
         high.inner.discard(lam)
-        high.isolated |= low.isolated | {work.arcs[lam].base}
+        high.isolated |= low.isolated | {smap.arcs[lam].base}
         high.free_bones.update(low.free_bones)
         high.inner |= low.inner
         return parent
@@ -221,13 +217,13 @@ def prune(smap: SphereMap) -> PruneResult:
                 trace.append(entry)
                 continue
             if len(region.inner) >= 2:
-                lam = min(region.inner, key=lambda a: work.arcs[a].base)
+                lam = min(region.inner, key=lambda a: smap.arcs[a].base)
                 # pair with one of this region's own remaining inner loops;
                 # loops inherited from the absorbed child may already be paired
                 candidates = region.inner - {lam}
                 merge(lam)
-                remaining = min(candidates, key=lambda a: work.arcs[a].base)
-                pair_with_loop(remaining, work.arcs[lam].base)
+                remaining = min(candidates, key=lambda a: smap.arcs[a].base)
+                pair_with_loop(remaining, smap.arcs[lam].base)
                 entry.update(
                     {"case": 2, "action": "drop-inner-loop", "arc": lam, "paired_loop": remaining}
                 )
@@ -240,7 +236,7 @@ def prune(smap: SphereMap) -> PruneResult:
                 if region.free_bones:
                     merge(lam)
                     entry.update({"case": 3, "action": "drop-inner-loop", "arc": lam})
-                    pair_with_bone(rid, work.arcs[lam].base)
+                    pair_with_bone(rid, smap.arcs[lam].base)
                     trace.append(entry)
                     heapq.heappush(queue, (first_base(rid), rid))
                     continue
@@ -250,7 +246,7 @@ def prune(smap: SphereMap) -> PruneResult:
                         "isolated vertex"
                     )
                 merge(pi)
-                pair_with_loop(lam, work.arcs[pi].base)
+                pair_with_loop(lam, smap.arcs[pi].base)
                 entry.update(
                     {"case": 4, "action": "drop-outer-loop", "arc": pi, "paired_loop": lam}
                 )
@@ -264,35 +260,35 @@ def prune(smap: SphereMap) -> PruneResult:
                     )
                 parent = merge(pi)
                 entry.update({"case": 5, "action": "drop-outer-loop", "arc": pi})
-                pair_with_bone(parent, work.arcs[pi].base)
+                pair_with_bone(parent, smap.arcs[pi].base)
                 trace.append(entry)
                 continue
             # the whole sphere: only disjoint bones can remain
             bones = region.free_bones
-            bone_arcs = {a for c in bones.values() for a in c.arcs}
+            bone_arcs = {a for c in bones.values() for a in c.edges}
             if bone_arcs != alive or len(bones) != g + 1:
                 raise GeometricAssumptionViolated(
                     f"sphere-level state is not {g + 1} disjoint bones"
                 )
-            drop_key = min(bones, key=lambda k: bones[k].arcs[0])
+            drop_key = min(bones, key=lambda k: bones[k].edges[0])
             drop = bones.pop(drop_key)
-            alive.discard(drop.arcs[0])
-            deleted.append(drop.arcs[0])
+            alive.discard(drop.edges[0])
+            deleted.append(drop.edges[0])
             freed = sorted(drop.vertices)
             region.isolated |= set(freed)
-            entry.update({"case": 6, "action": "drop-bone-edge", "arc": drop.arcs[0]})
+            entry.update({"case": 6, "action": "drop-bone-edge", "arc": drop.edges[0]})
             trace.append(entry)
             for v in freed:
                 pair_with_bone(rid, v)
 
-    # leftover free components become singleton blocks; ``work``'s are those
-    # of the alive arcs, as no loop disconnects and case 6 kills a whole bone
+    # leftover free components become singleton blocks; the input's alive
+    # arcs keep them whole, as no loop disconnects and case 6 kills a whole bone
     in_blocks = {a for b in blocks for a in b.arcs}
-    for comp in work.components:
+    for comp in smap.components:
         extra = [a for a in comp.arcs if a in alive and a not in in_blocks]
         if not extra:
             continue
-        kind = "loop" if work.arcs[extra[0]].kind == "loop" else "bone"
+        kind = "loop" if smap.arcs[extra[0]].kind == "loop" else "bone"
         blocks.append(Block(kind=kind, arcs=tuple(extra), vertices=comp.vertices))
 
     return PruneResult(

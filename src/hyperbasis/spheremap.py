@@ -642,9 +642,12 @@ class RegionTree:
         return self.below[self.root] - self.below[node_id] - 1
 
 
-def region_tree(smap: SphereMap, subgraph) -> RegionTree:
+def region_tree(smap: SphereMap, subgraph, *, erased=()) -> RegionTree:
     """Regions of the sphere minus the loop arcs of ``subgraph``, with
     their nesting levels and interior contents.
+
+    The sides of each ``erased`` arc merge first, in the given order, so
+    nodes are numbered as on the map with those arcs erased in that order.
 
     The subgraph's components must be growth-shaped: loops, trees,
     looped trees, or isolated vertices.  Its pieces (the components of
@@ -693,7 +696,7 @@ def region_tree(smap: SphereMap, subgraph) -> RegionTree:
 
     # merge map regions across every arc that is not a subgraph loop
     loop_set = set(loop_arcs)
-    node_of_region = smap.merged_regions(a for a in arcs if a not in loop_set)
+    node_of_region = smap.merged_regions([*erased, *(a for a in arcs if a not in loop_set)])
     nodes = {i: RegionNode(id=i) for i in range(max(node_of_region) + 1)}
 
     sides = {}

@@ -13,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 
 from hyperbasis import cli, cover, families, prune
 from hyperbasis.errors import ConstructionError
-from mapfactory import bones, sibling_loops
+from mapfactory import bones, polygon_cycle, sibling_loops
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -408,6 +408,18 @@ def test_genus_one_prune_exits_2_before_pruning(monkeypatch, tmp_path, capsys):
     assert out == ""
     assert err == "error: genus must be an integer >= 2, got 1\n"
     assert calls == []
+
+
+def test_prune_shape_error_names_the_component(tmp_path, capsys):
+    path = tmp_path / "hexagon.json"
+    path.write_text(polygon_cycle(6).to_json())
+    code, out, err = run(["prune", "--map", str(path)], capsys)
+    assert code == 2
+    assert out == ""
+    assert err == (
+        "invalid input: component at vertex 1 (0 loops, 6 edges, 6 vertices) "
+        "is outside the growth shapes\n"
+    )
 
 
 @pytest.mark.parametrize("command", ["prune", "verify"])

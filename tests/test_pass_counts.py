@@ -4,10 +4,12 @@ One run builds one sphere map (the input, which ``prune.verify`` also
 checks the kept arcs on) and one master complex for the cover oracle,
 so it runs one component pass and two rotation-system constructions,
 and the rank reduces every face-boundary row and every kept cycle once.
-The passes are counted, not timed, so a reintroduced pass fails on any
-host."""
+Preliminary steps that drop loops and leaves read the input too, so a
+map with looped and branched trees costs no more passes.  The passes are
+counted, not timed, so a reintroduced pass fails on any host."""
 
 import json
+import random
 import sys
 from collections import Counter
 
@@ -28,10 +30,18 @@ def count_calls(monkeypatch, counts, key, owners, name):
         monkeypatch.setattr(owner, name, counted)
 
 
-@pytest.mark.parametrize("blocks", [10, 40])
-def test_prune_map_derives_each_structure_once(blocks, tmp_path, monkeypatch, capsys):
-    smap = families.block_family(blocks)
-    path = tmp_path / "blocks.json"
+# (map, whether its preliminary steps drop both a loop and a leaf)
+MAPS = [
+    pytest.param(lambda: families.block_family(10), False, id="10"),
+    pytest.param(lambda: families.block_family(40), False, id="40"),
+    pytest.param(lambda: families.random_growth_map(random.Random(0), 16), True, id="random-16"),
+]
+
+
+@pytest.mark.parametrize("make, trims", MAPS)
+def test_prune_map_derives_each_structure_once(make, trims, tmp_path, monkeypatch, capsys):
+    smap = make()
+    path = tmp_path / "map.json"
     path.write_text(smap.to_json())
     out = tmp_path / "report.json"
     package = [m for n, m in sys.modules.items() if n.split(".")[0] == "hyperbasis"]
@@ -46,5 +56,8 @@ def test_prune_map_derives_each_structure_once(blocks, tmp_path, monkeypatch, ca
         assert cli.main(["prune", "--map", str(path), "--out", str(out)]) == 0
     capsys.readouterr()
     report = json.loads(out.read_text())
+    if trims:
+        actions = {t["action"] for t in report["trace"]}
+        assert {"prelim-drop-loop", "prelim-drop-leaf"} <= actions
     rows = cover.build_cover(smap, report["kept"]).n_faces + len(report["kept"])
     assert counts == {"components": 1, "rotation_systems": 2, "gf2_reductions": rows}

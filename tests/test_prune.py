@@ -11,9 +11,9 @@ def test_preliminary_drops_loop_of_looped_tree():
     b.add_loop(1, 1, set())
     b.attach_edge(2, 2, 1, 0)
     m = b.finalize()
-    work, blocks, deleted, trace = prune.preliminary_steps(m)
-    assert deleted == [1]
-    kinds = sm.classify_components(work)
+    blocks, loops, leaves, trace = prune.preliminary_steps(m)
+    assert loops == [1] and leaves == []
+    kinds = sm.classify_arcs(m, set(m.arcs) - set(loops + leaves)).values()
     assert sm.ComponentKind.LOOPED_TREE not in kinds
     assert sm.ComponentKind.TREE in kinds
 
@@ -24,9 +24,11 @@ def test_preliminary_pairs_big_tree():
     b.attach_edge(2, 3, 2, 0)
     b.attach_edge(3, 4, 3, 0)
     m = b.finalize()
-    work, blocks, deleted, trace = prune.preliminary_steps(m)
+    blocks, loops, leaves, trace = prune.preliminary_steps(m)
     # the leaf with the largest id goes; here the path is 1-2-3-4
-    assert deleted == [3]
+    assert loops == [] and leaves == [3]
+    kinds = sm.classify_arcs(m, set(m.arcs) - set(loops + leaves))
+    assert kinds[1] is sm.ComponentKind.TREE and kinds[4] is sm.ComponentKind.ISOLATED_VERTEX
     (block,) = blocks
     assert block.isolated_vertex == 4
     assert sorted(block.arcs) == [1, 2]
@@ -34,8 +36,8 @@ def test_preliminary_pairs_big_tree():
 
 def test_preliminary_keeps_bones():
     m = bones([(1, 2), (3, 4), (5, 6)], 6)
-    work, blocks, deleted, trace = prune.preliminary_steps(m)
-    assert not deleted and not blocks
+    blocks, loops, leaves, trace = prune.preliminary_steps(m)
+    assert not loops and not leaves and not blocks and not trace
 
 
 def test_pipeline_g2_prunes_to_four():

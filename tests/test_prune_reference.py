@@ -2,7 +2,11 @@
 level.  The former loop, which rescanned every open region for the
 smallest (level, loop base) key and rewrote the loop sides on each merge,
 is kept here as the reference: both must agree on the result, the
-verification report and every error."""
+verification report and every error.  ``prune.prune`` reads the input
+map and builds its region tree with the preliminary deletions as erased
+arcs; the reference's preliminary steps erase them with ``without_arcs``
+and prune the reduced map, so the two derive components and region ids
+independently."""
 
 import importlib
 import json
@@ -16,7 +20,7 @@ import pytest
 
 from hyperbasis import families, growth, hypmodel, prune
 from hyperbasis import spheremap as sm
-from hyperbasis.errors import GeometricAssumptionViolated
+from hyperbasis.errors import GeometricAssumptionViolated, InputError
 from hyperbasis.prune import Block, PruneResult
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -37,12 +41,60 @@ class _Region:
         return (self.level, base)
 
 
+def reference_preliminary_steps(smap):
+    """Drop loops of looped trees, then one leaf edge per big tree, each
+    pass on a map rebuilt without the arcs the pass before dropped.
+
+    Returns (reduced map, paired blocks, deleted arc ids, trace).
+    """
+    if any(c.kind is sm.ComponentKind.INVALID for c in smap.components):
+        raise InputError("graph has a component outside the growth shapes")
+    trace = []
+    deleted = []
+    for comp in smap.components:
+        if comp.loops and comp.edges:
+            deleted.append(comp.loops[0])
+            trace.append(
+                {"action": "prelim-drop-loop", "component": comp.key, "arc": comp.loops[0]}
+            )
+    work = smap.without_arcs(set(deleted)) if deleted else smap
+    blocks = []
+    second = []
+    for comp in work.components:
+        if len(comp.edges) < 2:
+            continue
+        degree = {v: 0 for v in comp.vertices}
+        at_leaf = {}
+        for a in comp.edges:
+            arc = work.arcs[a]
+            degree[arc.u] += 1
+            degree[arc.v] += 1
+            at_leaf[arc.u] = a
+            at_leaf[arc.v] = a
+        leaf = max(v for v, d in degree.items() if d == 1)
+        drop = at_leaf[leaf]
+        second.append(drop)
+        kept = tuple(a for a in comp.edges if a != drop)
+        blocks.append(
+            Block(
+                kind="paired",
+                arcs=kept,
+                vertices=tuple(v for v in comp.vertices if v != leaf),
+                isolated_vertex=leaf,
+            )
+        )
+        trace.append(
+            {"action": "prelim-drop-leaf", "component": comp.key, "arc": drop, "freed": leaf}
+        )
+    if second:
+        work = work.without_arcs(set(second))
+        deleted.extend(second)
+    return work, blocks, deleted, trace
+
+
 def reference_prune(smap) -> PruneResult:
     input_isolated = len(smap.isolated)
-    work, blocks, deleted, trace = prune.preliminary_steps(smap)
-    blocks = list(blocks)
-    deleted = list(deleted)
-    trace = list(trace)
+    work, blocks, deleted, trace = reference_preliminary_steps(smap)
     paired_keys = {min(b.vertices) for b in blocks if b.arcs}
 
     tree = sm.region_tree(work, set(work.arcs))

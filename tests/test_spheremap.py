@@ -355,6 +355,25 @@ def test_without_arcs_matches_replayed_constructor():
         assert set(new.arcs) == set(m.arcs) - removed
 
 
+def test_region_tree_of_erased_arcs_matches_the_erased_map():
+    """Erasing arcs one at a time leaves a single merge order, and a tree
+    given that order as ``erased`` numbers its nodes as the erased map's
+    own tree does."""
+    rng = random.Random(23)
+    for _ in range(300):
+        m = families.random_growth_map(rng, rng.choice([6, 8, 12, 16, 24]))
+        sub = families.random_subgraph(rng, m)
+        erased = [a for a in m.arcs if a not in sub]
+        rng.shuffle(erased)
+        erased_map = m
+        for a in erased:
+            erased_map = erased_map.without_arcs({a})
+        got = sm.region_tree(m, sub, erased=erased)
+        want = sm.region_tree(erased_map, sub)
+        for key in ("nodes", "loop_sides", "root", "levels", "below"):
+            assert getattr(got, key) == getattr(want, key), key
+
+
 # -- region tree subtree counts against the breadth-first walks ----------
 
 
