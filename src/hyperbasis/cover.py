@@ -136,7 +136,7 @@ class MasterComplex(RotationSystem):
         for region in smap.regions:
             anchors: list[tuple[int, int | None]] = []
             for fkey in region["faces"]:
-                face = smap.faces[smap.face_of[fkey]]
+                face = smap.face(fkey)
                 v = min(self.dart_vertex[d] for d in face)
                 y = min(d for d in face if self.dart_vertex[d] == v)
                 anchors.append((v, self._corner_handle(y)))

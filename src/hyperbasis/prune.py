@@ -138,7 +138,6 @@ def prune(smap: SphereMap) -> PruneResult:
     deletion, returning the kept subgraph with its block decomposition."""
     input_isolated = len(smap.isolated)
     blocks, loops, leaves, trace = preliminary_steps(smap)
-    paired_keys = {min(b.vertices) for b in blocks if b.arcs}
     deleted = loops + leaves
     alive = set(smap.arcs).difference(deleted)
 
@@ -150,7 +149,7 @@ def prune(smap: SphereMap) -> PruneResult:
         regions[nid] = _Region(isolated=set(node.isolated))
         for piece in node.pieces:
             comp = comp_by_key[min(piece.vertices)]
-            if len(comp.edges) == 1 and comp.key not in paired_keys:
+            if len(comp.edges) == 1:
                 regions[nid].free_bones[comp.key] = comp
     outer: dict[int, int] = {}
     for lam, (child, parent) in tree.loop_sides.items():

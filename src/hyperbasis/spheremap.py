@@ -294,7 +294,7 @@ class SphereMap(RotationSystem):
 
     def _build_faces(self, faces: list[tuple[int, ...]] | None = None) -> None:
         self.faces = self.face_orbits() if faces is None else faces
-        self.face_of = {d: i for i, f in enumerate(self.faces) for d in f}
+        self.face_of = {d: f[0] for f in self.faces for d in f}
 
     def _build_components(self) -> None:
         self.components = components(self, self.arcs)
@@ -327,20 +327,17 @@ class SphereMap(RotationSystem):
                 raise EmbeddingError(
                     "disconnected arrangement requires explicit regions"
                 )
-        face_by_min = {f[0]: i for i, f in enumerate(self.faces)}
         self.regions: list[dict] = []
         self.region_of_face: dict[int, int] = {}
         self.region_of_isolated: dict[int, int] = {}
         for ridx, r in enumerate(regions):
-            keys = []
-            for key in r.get("faces", []):
-                if key not in face_by_min:
+            keys = r.get("faces", [])
+            for key in keys:
+                if self.face_of.get(key) != key:
                     raise EmbeddingError(f"region lists unknown face key {key}")
-                keys.append(key)
-                fi = face_by_min[key]
-                if fi in self.region_of_face:
+                if key in self.region_of_face:
                     raise EmbeddingError("face assigned to two regions")
-                self.region_of_face[fi] = ridx
+                self.region_of_face[key] = ridx
             for v in r.get("isolated", []):
                 if v not in self.isolated:
                     raise EmbeddingError(f"vertex {v} is not isolated")
@@ -350,41 +347,30 @@ class SphereMap(RotationSystem):
             self.regions.append(
                 {"faces": sorted(keys), "isolated": sorted(r.get("isolated", []))}
             )
-        if set(self.region_of_face) != set(range(len(self.faces))):
+        if len(self.region_of_face) != len(self.faces):
             raise EmbeddingError("every face must belong to exactly one region")
         if set(self.region_of_isolated) != self.isolated:
             raise EmbeddingError("every isolated vertex needs a region")
         self._check_region_tree(nontrivial)
 
     def _check_region_tree(self, nontrivial: list[Component]) -> None:
-        """Components and regions must form a tree with one edge per face."""
+        """Components and regions must form a tree with one edge per face.
+        Merging the two sides of every arc joins exactly the regions that
+        share a component, so one merge over all arcs checks that the
+        tree is connected."""
         if not nontrivial:
             if len(self.regions) != 1:
                 raise EmbeddingError("arc-free map must have a single region")
             return
-        comp_of_face = {
-            i: self.component_of[self.dart_vertex[f[0]]]
-            for i, f in enumerate(self.faces)
+        pairs = {
+            (self.component_of[self.dart_vertex[key]], r)
+            for key, r in self.region_of_face.items()
         }
-        seen_pairs = set()
-        uf = _UnionFind()
-        for c in nontrivial:
-            uf.add(("c", c.key))
-        for r in range(len(self.regions)):
-            uf.add(("r", r))
-        for fi, r in self.region_of_face.items():
-            pair = (comp_of_face[fi], r)
-            if pair in seen_pairs:
-                raise EmbeddingError(
-                    "two faces of one component bound the same region"
-                )
-            seen_pairs.add(pair)
-            uf.union(("c", pair[0]), ("r", r))
-        n_nodes = len(nontrivial) + len(self.regions)
-        if len(self.faces) != n_nodes - 1:
+        if len(pairs) < len(self.faces):
+            raise EmbeddingError("two faces of one component bound the same region")
+        if len(self.faces) != len(nontrivial) + len(self.regions) - 1:
             raise EmbeddingError("region incidence is not a tree (count)")
-        roots = {uf.find(x) for x in uf.parent}
-        if len(roots) != 1:
+        if max(self.merged_regions(self.arcs)):
             raise EmbeddingError("region incidence is not connected")
 
     # -- queries -----------------------------------------------------

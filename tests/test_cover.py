@@ -238,7 +238,7 @@ class RestartMaster(cover.MasterComplex):
         for region in smap.regions:
             anchors: list[tuple[int, int | None]] = []
             for fkey in region["faces"]:
-                face = smap.faces[smap.face_of[fkey]]
+                face = smap.face(fkey)
                 v = min(self.dart_vertex[d] for d in face)
                 anchors.append((v, self._corner_handle(face, v)))
             for v in region["isolated"]:

@@ -7,6 +7,7 @@ from hyperbasis import families
 from hyperbasis import spheremap as sm
 from hyperbasis.errors import EmbeddingError, InputError
 from mapfactory import bones, euler_summary, hexagon_sub, polygon_cycle, sibling_loops
+from record_golden import perfbench_gen
 
 
 def test_hexagon_cycle_euler():
@@ -74,6 +75,58 @@ def test_disconnected_requires_regions():
     del data["regions"]
     with pytest.raises(EmbeddingError):
         sm.from_json(json.dumps(data))
+
+
+def nesting_map() -> dict:
+    """Two empty loops (at 1 and 2), a bone 3-4 and bare vertices 5, 6:
+    face keys 0 and 2 inside the loops, 1 and 3 outside, 4 the bone's."""
+    b = sm.MapBuilder(range(1, 7))
+    b.add_loop(1, 1, set())
+    b.add_loop(2, 2, set())
+    b.add_bone(3, 3, 4)
+    data = b.finalize().to_dict()
+    assert data["regions"] == [
+        {"faces": [1, 3, 4], "isolated": [5, 6]},
+        {"faces": [0], "isolated": []},
+        {"faces": [2], "isolated": []},
+    ]
+    return data
+
+
+def _set_regions(*regions):
+    return lambda d: d.update(regions=[dict(faces=f, isolated=i) for f, i in regions])
+
+
+@pytest.mark.parametrize("mutate, message", [
+    (_set_regions(([1, 3, 4, 5], [5, 6]), ([0], []), ([2], [])),
+     "region lists unknown face key 5"),
+    (_set_regions(([1, 3, 4], [5, 6]), ([0, 1], []), ([2], [])),
+     "face assigned to two regions"),
+    (_set_regions(([1, 3, 4], [5, 6]), ([0], []), ([], [])),
+     "every face must belong to exactly one region"),
+    (_set_regions(([1, 3, 4], [5, 6, 1]), ([0], []), ([2], [])),
+     "vertex 1 is not isolated"),
+    (_set_regions(([1, 3, 4], [5, 6]), ([0], [5]), ([2], [])),
+     "isolated vertex 5 placed twice"),
+    (_set_regions(([1, 3, 4], [5]), ([0], []), ([2], [])),
+     "every isolated vertex needs a region"),
+    (_set_regions(([0, 1, 3, 4], [5, 6]), ([], []), ([2], [])),
+     "two faces of one component bound the same region"),
+    (_set_regions(([1, 3, 4], [5, 6]), ([0], []), ([2], []), ([], [])),
+     "region incidence is not a tree (count)"),
+    (_set_regions(([1, 3, 4], [5]), ([0, 2], []), ([], [6])),
+     "region incidence is not connected"),
+    (lambda d: d.update(arcs=[], regions=[{"isolated": [1, 2, 3]}, {"isolated": [4, 5, 6]}],
+                        vertices=[dict(v, rotation=[]) for v in d["vertices"]]),
+     "arc-free map must have a single region"),
+    (lambda d: d.pop("regions"), "disconnected arrangement requires explicit regions"),
+])
+def test_from_json_nesting_errors(mutate, message):
+    data = nesting_map()
+    mutate(data)
+    with pytest.raises(EmbeddingError) as err:
+        sm.from_json(json.dumps(data))
+    assert str(err.value) == message
 
 
 def test_classification_shapes():
@@ -353,6 +406,122 @@ def test_without_arcs_matches_replayed_constructor():
         new = m.without_arcs(removed)
         assert new.to_dict() == replayed_without_arcs(m, removed).to_dict()
         assert set(new.arcs) == set(m.arcs) - removed
+
+
+# -- region nesting against the former tuple-keyed incidence check -------
+
+
+def reference_nesting_error(smap, regions):
+    """Reference: the former region checks of the constructor, which
+    named faces by list index and ran a union-find over ``("c", key)``
+    and ``("r", region)`` nodes.  Returns the error message, or None.
+    Only faces, components and bare vertices of ``smap`` are read."""
+    nontrivial = [c for c in smap.components if c.arcs]
+    face_by_min = {f[0]: i for i, f in enumerate(smap.faces)}
+    region_of_face, region_of_isolated = {}, {}
+    for ridx, r in enumerate(regions):
+        for key in r.get("faces", []):
+            if key not in face_by_min:
+                return f"region lists unknown face key {key}"
+            fi = face_by_min[key]
+            if fi in region_of_face:
+                return "face assigned to two regions"
+            region_of_face[fi] = ridx
+        for v in r.get("isolated", []):
+            if v not in smap.isolated:
+                return f"vertex {v} is not isolated"
+            if v in region_of_isolated:
+                return f"isolated vertex {v} placed twice"
+            region_of_isolated[v] = ridx
+    if set(region_of_face) != set(range(len(smap.faces))):
+        return "every face must belong to exactly one region"
+    if set(region_of_isolated) != smap.isolated:
+        return "every isolated vertex needs a region"
+    if not nontrivial:
+        return None if len(regions) == 1 else "arc-free map must have a single region"
+    comp_of_face = {
+        i: smap.component_of[smap.dart_vertex[f[0]]] for i, f in enumerate(smap.faces)
+    }
+    seen_pairs = set()
+    uf = sm._UnionFind()
+    for c in nontrivial:
+        uf.add(("c", c.key))
+    for r in range(len(regions)):
+        uf.add(("r", r))
+    for fi, r in region_of_face.items():
+        pair = (comp_of_face[fi], r)
+        if pair in seen_pairs:
+            return "two faces of one component bound the same region"
+        seen_pairs.add(pair)
+        uf.union(("c", pair[0]), ("r", r))
+    if len(smap.faces) != len(nontrivial) + len(regions) - 1:
+        return "region incidence is not a tree (count)"
+    if len({uf.find(x) for x in uf.parent}) != 1:
+        return "region incidence is not connected"
+    return None
+
+
+def mutated_regions(rng, m):
+    """The map's regions after one or two seeded mutations: a face key or
+    bare vertex moved to another region or dropped, an empty region
+    added, two regions merged, a dart that is not a face key or an
+    occupied vertex listed, or a key repeated."""
+    regions = [{"faces": list(r["faces"]), "isolated": list(r["isolated"])} for r in m.regions]
+    for _ in range(rng.choice([1, 1, 2])):
+        r = rng.choice(regions)
+        part = rng.choice(["faces", "isolated"])
+        kind = rng.choice(["move", "drop", "empty", "merge", "non-key", "repeat"])
+        if kind in ("move", "drop") and r[part]:
+            key = r[part].pop(rng.randrange(len(r[part])))
+            if kind == "move":
+                rng.choice(regions)[part].append(key)
+        elif kind == "empty":
+            regions.insert(rng.randrange(len(regions) + 1), {"faces": [], "isolated": []})
+        elif kind == "merge" and len(regions) > 1:
+            other = regions.pop(rng.randrange(len(regions)))
+            target = rng.choice(regions)
+            target["faces"] += other["faces"]
+            target["isolated"] += other["isolated"]
+        elif kind == "non-key":
+            if part == "faces":
+                r["faces"].append(rng.choice([d for f in m.faces for d in f[1:]] or [len(m.alpha)]))
+            else:
+                r["isolated"].append(rng.choice([v for v in m.rotations if m.rotations[v]]))
+        elif kind == "repeat" and r[part]:
+            rng.choice(regions)[part].append(rng.choice(r[part]))
+    return regions
+
+
+def nesting_cases():
+    gen = perfbench_gen()
+    rng = random.Random(18)
+    maps = [families.block_family(n) for n in range(2, 12)]
+    maps += [families.random_growth_map(rng, rng.randrange(4, 25, 2)) for _ in range(50)]
+    maps += [sm.from_json(gen.nested_arrangement(rng, rng.randrange(8, 33, 2))[0])
+             for _ in range(40)]
+    for m in maps:
+        for _ in range(10):
+            yield m, mutated_regions(rng, m)
+
+
+def test_region_nesting_matches_tuple_keyed_reference():
+    seen = {}
+    for m, regions in nesting_cases():
+        want = reference_nesting_error(m, regions)
+        try:
+            sm.SphereMap(m.rotations, m.arcs, regions=regions)
+            got = None
+        except EmbeddingError as e:
+            got = str(e)
+        assert got == want, regions
+        seen[want] = seen.get(want, 0) + 1
+    assert sum(seen.values()) == 1000
+    assert {None, "two faces of one component bound the same region",
+            "region incidence is not a tree (count)",
+            "region incidence is not connected",
+            "every face must belong to exactly one region",
+            "every isolated vertex needs a region",
+            "face assigned to two regions"} <= set(seen)
 
 
 def test_region_tree_of_erased_arcs_matches_the_erased_map():
