@@ -12,7 +12,6 @@ than being clamped.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 from .errors import DomainError
 
@@ -27,9 +26,6 @@ __all__ = [
     "theorem_bound",
     "n_lambda",
     "count_lambda",
-    "BoundRow",
-    "LambdaRow",
-    "BoundTable",
     "bound_table",
 ]
 
@@ -121,65 +117,25 @@ def count_lambda(g: int, lam: float) -> int:
     return math.ceil(lam * 2.0 * g / 3.0)
 
 
-@dataclass(frozen=True)
-class BoundRow:
-    k: int
-    j: int
-    radius_bound: float
-    alpha_bound: float
-    theorem_bound: float
-
-
-@dataclass(frozen=True)
-class LambdaRow:
-    lam: float
-    count: int
-    n: float
-    w: float
-    d: float
-
-
-@dataclass
-class BoundTable:
-    genus: int
-    rows: list[BoundRow] = field(default_factory=list)
-    lambda_rows: list[LambdaRow] = field(default_factory=list)
-
-
-def bound_table(g: int, lam: float | None = None) -> BoundTable:
-    """Assemble the per-index bound rows for k = 1..kappa(g).
+def bound_table(g: int) -> list[dict]:
+    """The report's bound rows {k, j, radius_bound, alpha_bound,
+    theorem_bound} for k = 1..kappa(g).
 
     Row k carries the worst admissible consumed count j = 2g+1-kappa(g)+k
     (the chain j_{m_k} <= j_M - (kappa-k) with j_M <= 2g+1), so that
     alpha_bound is defined for every row and dominated by theorem_bound.
     """
-    _check_genus(g)
     kap = kappa(g)
     rows = []
     for k in range(1, kap + 1):
         j = 2 * g + 1 - kap + k
         rows.append(
-            BoundRow(
-                k=k,
-                j=j,
-                radius_bound=radius_bound(g, j),
-                alpha_bound=alpha_length_bound(g, j),
-                theorem_bound=theorem_bound(g, k),
-            )
+            {
+                "k": k,
+                "j": j,
+                "radius_bound": radius_bound(g, j),
+                "alpha_bound": alpha_length_bound(g, j),
+                "theorem_bound": theorem_bound(g, k),
+            }
         )
-    table = BoundTable(genus=g, rows=rows)
-    if lam is not None:
-        # collar/energy columns live in the jacobian module; import here to
-        # keep bounds importable on its own
-        from . import jacobian
-
-        table.lambda_rows.append(
-            LambdaRow(
-                lam=lam,
-                count=count_lambda(g, lam),
-                n=n_lambda(lam),
-                w=jacobian.collar_width(n_lambda(lam)),
-                d=jacobian.d_lambda(lam),
-            )
-        )
-    return table
+    return rows

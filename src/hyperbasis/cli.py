@@ -50,35 +50,14 @@ def _write(path: str | None, text: str) -> None:
 
 
 def _bounds_payload(genus: int, lam: float | None) -> dict:
-    table = bounds.bound_table(genus, lam)
     payload: dict = {
         "genus": genus,
         "kappa": bounds.kappa(genus),
-        "rows": [
-            {
-                "k": r.k,
-                "j": r.j,
-                "radius_bound": r.radius_bound,
-                "alpha_bound": r.alpha_bound,
-                "theorem_bound": r.theorem_bound,
-            }
-            for r in table.rows
-        ],
+        "rows": bounds.bound_table(genus),
     }
     if lam is not None:
-        payload["lambda_rows"] = [
-            {"lambda": lr.lam, "count": lr.count, "N": lr.n, "w": lr.w, "D": lr.d}
-            for lr in table.lambda_rows
-        ]
-        payload["energy_rows"] = [
-            {
-                "k": r.k,
-                "length_bound": r.length_bound,
-                "width": r.width,
-                "energy_bound": r.energy_bound,
-            }
-            for r in jacobian.basis_energy_table(genus, lam)
-        ]
+        payload["lambda_rows"] = [jacobian.lambda_row(genus, lam)]
+        payload["energy_rows"] = jacobian.basis_energy_table(genus, lam)
     return payload
 
 

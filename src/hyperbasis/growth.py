@@ -240,13 +240,7 @@ def arc_graph(log: GrowthLog, model):
     the event index as arc id.  Accepts prefixes of a run; untouched
     vertices come out isolated."""
     log.validate(partial=True)
-    smap = model.build_arc_graph(log)
-    from .spheremap import ComponentKind, classify_components
-
-    kinds = classify_components(smap)
-    if any(k is ComponentKind.INVALID for k in kinds):
-        raise InvalidMetric("growth log produced an invalid component shape")
-    return smap
+    return model.build_arc_graph(log)
 
 
 # -- serialization ------------------------------------------------------

@@ -11,7 +11,6 @@ the same expression and stable as the argument approaches 1.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from . import bounds
 from .errors import DomainError
@@ -20,7 +19,7 @@ __all__ = [
     "collar_width",
     "energy_bound",
     "d_lambda",
-    "JacobianBoundRow",
+    "lambda_row",
     "basis_energy_table",
 ]
 
@@ -60,16 +59,24 @@ def d_lambda(lam: float) -> float:
     return energy_bound(n, collar_width(n))
 
 
-@dataclass(frozen=True)
-class JacobianBoundRow:
-    k: int
-    length_bound: float
-    width: float
-    energy_bound: float
+def lambda_row(g: int, lam: float) -> dict:
+    """The report's lambda row {lambda, count, N, w, D}: the number of
+    loops guaranteed below N(lambda), N(lambda) itself, its collar width
+    and D(lambda)."""
+    count = bounds.count_lambda(g, lam)
+    n = bounds.n_lambda(lam)
+    return {
+        "lambda": lam,
+        "count": count,
+        "N": n,
+        "w": collar_width(n),
+        "D": d_lambda(lam),
+    }
 
 
-def basis_energy_table(g: int, lam: float) -> list[JacobianBoundRow]:
-    """Per-vector energy bounds for the ceil(lambda*(2/3)*g) lattice vectors.
+def basis_energy_table(g: int, lam: float) -> list[dict]:
+    """The report's energy rows {k, length_bound, width, energy_bound} for
+    the ceil(lambda*(2/3)*g) lattice vectors.
 
     Row k uses the sharper per-index length bound, which stays below
     N(lambda) for every admissible k, so each energy stays below
@@ -81,11 +88,11 @@ def basis_energy_table(g: int, lam: float) -> list[JacobianBoundRow]:
         length = min(bounds.theorem_bound(g, k), n_cap)
         w = collar_width(length)
         rows.append(
-            JacobianBoundRow(
-                k=k,
-                length_bound=length,
-                width=w,
-                energy_bound=energy_bound(length, w),
-            )
+            {
+                "k": k,
+                "length_bound": length,
+                "width": w,
+                "energy_bound": energy_bound(length, w),
+            }
         )
     return rows

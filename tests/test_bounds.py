@@ -3,7 +3,7 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
-from hyperbasis import bounds
+from hyperbasis import bounds, jacobian
 from hyperbasis.errors import DomainError
 
 
@@ -168,14 +168,22 @@ def test_count_lambda():
 
 def test_bound_table_shape_and_invariants():
     for g in (2, 5, 12):
-        table = bounds.bound_table(g, 0.5)
+        rows = bounds.bound_table(g)
         kap = bounds.kappa(g)
-        assert [r.k for r in table.rows] == list(range(1, kap + 1))
-        for r in table.rows:
-            assert r.alpha_bound <= 4 * math.log(4 * g) + 1e-12
-            assert r.alpha_bound <= r.theorem_bound + 1e-9
-        js = [r.j for r in table.rows]
+        assert [r["k"] for r in rows] == list(range(1, kap + 1))
+        for r in rows:
+            assert r["alpha_bound"] <= 4 * math.log(4 * g) + 1e-12
+            assert r["alpha_bound"] <= r["theorem_bound"] + 1e-9
+        js = [r["j"] for r in rows]
         assert all(a < b for a, b in zip(js, js[1:]))
-        (lr,) = table.lambda_rows
-        assert lr.count == bounds.count_lambda(g, 0.5)
-        assert lr.d > 0
+        lr = jacobian.lambda_row(g, 0.5)
+        n = bounds.n_lambda(0.5)
+        assert lr == {
+            "lambda": 0.5,
+            "count": bounds.count_lambda(g, 0.5),
+            "N": n,
+            "w": jacobian.collar_width(n),
+            "D": jacobian.d_lambda(0.5),
+        }
+        assert lr["count"] == bounds.count_lambda(g, 0.5)
+        assert lr["D"] > 0

@@ -52,6 +52,14 @@ def test_bounds_bad_genus(capsys):
     assert code == 2
 
 
+def test_bounds_lambda_near_one_exits_2(capsys):
+    # the energy rows stay finite here; only D(lambda) runs out of precision
+    code, out, err = run(["bounds", "--genus", "5", "--lambda", "0.99999"], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: energy denominator")
+
+
 def test_unknown_flag_exits_2(capsys):
     assert cli.main(["bounds", "--nope"]) == 2
 
@@ -91,14 +99,24 @@ def test_pipeline_with_lambda(tmp_path, capsys):
     assert len(report["jacobian"]) == 2    # ceil(0.9 * 2/3 * 3)
 
 
-@pytest.mark.parametrize("lam", ["1.5", "0", "-0.25"])
-def test_pipeline_bad_lambda_exits_2_before_growth(lam, monkeypatch, capsys):
+@pytest.mark.parametrize(
+    "lam, prefix",
+    [
+        pytest.param("1.5", "error: ratio must lie in (0, 1), got 1.5\n", id="1.5"),
+        pytest.param("0", "error: ratio must lie in (0, 1), got 0.0\n", id="0"),
+        pytest.param("-0.25", "error: ratio must lie in (0, 1), got -0.25\n", id="-0.25"),
+        # next to 1 the energy rows stay finite and only D(lambda) fails
+        pytest.param("0.99999", "error: energy denominator", id="0.99999"),
+    ],
+)
+def test_pipeline_bad_lambda_exits_2_before_growth(lam, prefix, monkeypatch, capsys):
     calls = []
     monkeypatch.setattr(cli.growth, "simulate", calls.append)
     code, out, err = run(["pipeline", "--genus", "26", "--lambda", lam], capsys)
     assert code == 2
     assert out == ""
-    assert err == f"error: ratio must lie in (0, 1), got {float(lam)}\n"
+    assert err.startswith(prefix)
+    assert err.count("\n") == 1
     assert calls == []
 
 

@@ -87,12 +87,14 @@ def test_basis_energy_table():
     assert len(rows) == 3
     cap = jacobian.d_lambda(0.5)
     for r in rows:
-        assert r.length_bound <= bounds.n_lambda(0.5) + 1e-12
-        assert r.energy_bound <= cap + 1e-9
-        assert r.width > 0
-        assert r.energy_bound > r.length_bound / math.pi
-        assert r.energy_bound == pytest.approx(
-            jacobian.energy_bound(r.length_bound, jacobian.collar_width(r.length_bound)),
+        assert r["length_bound"] <= bounds.n_lambda(0.5) + 1e-12
+        assert r["energy_bound"] <= cap + 1e-9
+        assert r["width"] > 0
+        assert r["energy_bound"] > r["length_bound"] / math.pi
+        assert r["energy_bound"] == pytest.approx(
+            jacobian.energy_bound(
+                r["length_bound"], jacobian.collar_width(r["length_bound"])
+            ),
             rel=1e-12,
         )
     assert len(jacobian.basis_energy_table(2, 0.9)) == 2

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from hyperbasis import families
+from hyperbasis import families, growth, hypmodel
 from hyperbasis import spheremap as sm
 from hyperbasis.errors import EmbeddingError, InputError
 from mapfactory import bones, euler_summary, hexagon_sub, polygon_cycle, sibling_loops
@@ -173,6 +173,10 @@ def test_growth_outputs_classify_clean():
     for _ in range(50):
         m = families.random_growth_map(rng, rng.choice([4, 6, 8, 10]))
         assert sm.ComponentKind.INVALID not in sm.classify_components(m)
+    for g in range(2, 13):
+        model = hypmodel.regular_model(g)
+        smap = growth.arc_graph(growth.simulate(model), model)
+        assert sm.ComponentKind.INVALID not in sm.classify_components(smap)
 
 
 def test_region_tree_nested_siblings():
