@@ -96,18 +96,6 @@ def cmd_simulate(args) -> int:
     return EXIT_OK
 
 
-def _blocks_payload(result: prune.PruneResult) -> list[dict]:
-    return [
-        {
-            "kind": b.kind,
-            "arcs": list(b.arcs),
-            "vertices": list(b.vertices),
-            "isolated_vertex": b.isolated_vertex,
-        }
-        for b in result.blocks
-    ]
-
-
 def _read_map(path: str) -> sphere.SphereMap:
     """The map in a JSON file; bytes that are not UTF-8 are invalid input."""
     try:
@@ -123,14 +111,7 @@ def cmd_prune(args) -> int:
     bounds.kappa(smap.genus)            # reject a genus outside the domain before pruning
     result = prune.prune(smap)
     report = prune.verify(result, smap)
-    payload = {
-        "kept": list(result.kept),
-        "deleted": list(result.deleted),
-        "blocks": _blocks_payload(result),
-        "trace": result.trace,
-        "verification": report,
-    }
-    _write(args.out, jsonio.dumps_pretty(payload))
+    _write(args.out, jsonio.dumps_pretty(vars(result) | {"verification": report}))
     return EXIT_OK
 
 
@@ -228,13 +209,7 @@ def cmd_pipeline(args) -> int:
             "min_bound_slack": min(r["slack"] for r in radius_report),
         },
         "components": kinds,
-        "prune": {
-            "kept": list(result.kept),
-            "deleted": list(result.deleted),
-            "kappa": kap,
-            "blocks": _blocks_payload(result),
-            "trace": result.trace,
-        },
+        "prune": vars(result) | {"kappa": kap},
         "verification": dict(verification, theorem_chain_ok=chain_ok),
         "theorem_chain": chain,
     }

@@ -111,9 +111,6 @@ class MetricModel:
     def loop_radius(self, i: int) -> float:
         raise NotImplementedError
 
-    def area(self) -> float:
-        return 2.0 * math.pi * (self.genus - 1)
-
     def realize_arc(self, event) -> ArcEmbedding:
         raise NotImplementedError
 

@@ -45,7 +45,6 @@ from .spheremap import (
 )
 
 __all__ = [
-    "Block",
     "PruneResult",
     "preliminary_steps",
     "prune",
@@ -53,30 +52,17 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Block:
-    kind: str                       # "paired" | "bone" | "loop"
-    arcs: tuple[int, ...]
-    vertices: tuple[int, ...]       # vertices on the kept component
-    isolated_vertex: int | None = None
-
-    def ratio(self) -> float:
-        nv = len(self.vertices) + (1 if self.isolated_vertex is not None else 0)
-        return len(self.arcs) / nv
-
-
 @dataclass
 class PruneResult:
-    genus: int
+    """The ``prune`` report's fields.  Each block is a report row
+    ``{"kind", "arcs", "vertices", "isolated_vertex"}``: kind "paired",
+    "bone" or "loop", the vertices on the kept component, and the vertex
+    a paired block freed (None for a leftover bone or loop)."""
+
     kept: tuple[int, ...]
     deleted: tuple[int, ...]
-    blocks: list[Block]
+    blocks: list[dict]
     trace: list[dict]
-    input_isolated: int             # map vertices bare before pruning
-
-    def guaranteed_count(self) -> int:
-        """Arc-count floor: bare input vertices sit in no block."""
-        return math.ceil((2 * self.genus + 2 - self.input_isolated) / 3)
 
 
 def preliminary_steps(smap: SphereMap):
@@ -101,7 +87,7 @@ def preliminary_steps(smap: SphereMap):
             trace.append(
                 {"action": "prelim-drop-loop", "component": comp.key, "arc": comp.loops[0]}
             )
-    blocks: list[Block] = []
+    blocks: list[dict] = []
     leaves: list[int] = []
     for comp in smap.components:
         if len(comp.edges) < 2:
@@ -117,7 +103,9 @@ def preliminary_steps(smap: SphereMap):
         leaves.append(drop)
         kept = tuple(a for a in comp.edges if a != drop)
         vertices = tuple(v for v in comp.vertices if v != leaf)
-        blocks.append(Block(kind="paired", arcs=kept, vertices=vertices, isolated_vertex=leaf))
+        blocks.append(
+            {"kind": "paired", "arcs": kept, "vertices": vertices, "isolated_vertex": leaf}
+        )
         trace.append(
             {"action": "prelim-drop-leaf", "component": comp.key, "arc": drop, "freed": leaf}
         )
@@ -136,7 +124,6 @@ class _Region:
 def prune(smap: SphereMap) -> PruneResult:
     """Full pruning pass: preliminary steps, then the level-wise loop
     deletion, returning the kept subgraph with its block decomposition."""
-    input_isolated = len(smap.isolated)
     blocks, loops, leaves, trace = preliminary_steps(smap)
     deleted = loops + leaves
     alive = set(smap.arcs).difference(deleted)
@@ -170,7 +157,7 @@ def prune(smap: SphereMap) -> PruneResult:
         paired_loops.add(lam)
         base = smap.arcs[lam].base
         blocks.append(
-            Block(kind="paired", arcs=(lam,), vertices=(base,), isolated_vertex=freed)
+            {"kind": "paired", "arcs": (lam,), "vertices": (base,), "isolated_vertex": freed}
         )
 
     def pair_with_bone(rid: int, freed: int) -> None:
@@ -180,9 +167,8 @@ def prune(smap: SphereMap) -> PruneResult:
                 f"region {rid} offers no bone to pair with"
             )
         comp = bones.pop(min(bones))
-        blocks.append(
-            Block(kind="paired", arcs=comp.edges, vertices=comp.vertices, isolated_vertex=freed)
-        )
+        blocks.append({"kind": "paired", "arcs": comp.edges, "vertices": comp.vertices,
+                       "isolated_vertex": freed})
 
     def merge(lam: int) -> int:
         """Delete loop ``lam``, folding its child region into its parent."""
@@ -282,22 +268,15 @@ def prune(smap: SphereMap) -> PruneResult:
 
     # leftover free components become singleton blocks; the input's alive
     # arcs keep them whole, as no loop disconnects and case 6 kills a whole bone
-    in_blocks = {a for b in blocks for a in b.arcs}
+    in_blocks = {a for b in blocks for a in b["arcs"]}
     for comp in smap.components:
         extra = [a for a in comp.arcs if a in alive and a not in in_blocks]
         if not extra:
             continue
         kind = "loop" if smap.arcs[extra[0]].kind == "loop" else "bone"
-        blocks.append(Block(kind=kind, arcs=tuple(extra), vertices=comp.vertices))
-
-    return PruneResult(
-        genus=g,
-        kept=tuple(sorted(alive)),
-        deleted=tuple(deleted),
-        blocks=blocks,
-        trace=trace,
-        input_isolated=input_isolated,
-    )
+        blocks.append({"kind": kind, "arcs": tuple(extra), "vertices": comp.vertices,
+                       "isolated_vertex": None})
+    return PruneResult(tuple(sorted(alive)), tuple(deleted), blocks, trace)
 
 
 def verify(result: PruneResult, smap: SphereMap) -> dict:
@@ -306,8 +285,9 @@ def verify(result: PruneResult, smap: SphereMap) -> dict:
 
     Checks that the kept and deleted arcs split the map's arcs, that each
     region of the sphere minus the kept loops contains a vertex the kept
-    arcs leave isolated, the arc count meets the guaranteed floor, the
-    blocks partition the kept arcs with healthy ratios, and the parity
+    arcs leave isolated, the arc count meets the floor ceil((2g+2-b)/3)
+    with g the map's genus and b its bare vertices, which sit in no block,
+    the blocks partition the kept arcs with healthy ratios, and the parity
     test and the double-cover oracle both find the lifted system
     independent.  Raises VerificationFailure naming the first broken
     invariant, and ConstructionError when the two oracles disagree.
@@ -319,16 +299,17 @@ def verify(result: PruneResult, smap: SphereMap) -> dict:
     for nid, node in tree.nodes.items():
         if not node.isolated:
             raise VerificationFailure(f"region {nid} contains no isolated vertex")
-    floor = result.guaranteed_count()
+    floor = math.ceil((2 * smap.genus + 2 - len(smap.isolated)) / 3)
     if len(kept) < floor:
         raise VerificationFailure(
             f"only {len(kept)} arcs kept, guaranteed {floor}"
         )
-    block_arcs = [a for b in result.blocks for a in b.arcs]
+    block_arcs = [a for b in result.blocks for a in b["arcs"]]
     if sorted(block_arcs) != sorted(kept):
         raise VerificationFailure("blocks do not partition the kept arcs")
     for b in result.blocks:
-        if b.ratio() < 1.0 / 3.0 - 1e-12:
+        nv = len(b["vertices"]) + (b["isolated_vertex"] is not None)
+        if len(b["arcs"]) / nv < 1.0 / 3.0 - 1e-12:
             raise VerificationFailure(f"block {b} has ratio below one third")
     parity = all(region_admits_odd_curve(tree, n) for n in tree.nodes)
     components, rank = cover.verdict(smap, kept, parity)
@@ -336,7 +317,7 @@ def verify(result: PruneResult, smap: SphereMap) -> dict:
         raise VerificationFailure("cover oracle reports a separating system")
     return {
         "arcs_kept": len(kept),
-        "kappa": bounds.kappa(result.genus),
+        "kappa": bounds.kappa(smap.genus),
         "guaranteed": floor,
         "regions": len(tree.nodes),
         "parity_nonseparating": True,

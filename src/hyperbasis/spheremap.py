@@ -249,13 +249,11 @@ class SphereMap(RotationSystem):
         arcs: dict[int, Arc],
         genus: int | None = None,
         regions: list[dict] | None = None,
-        *,
-        _faces: list[tuple[int, ...]] | None = None,
     ):
         super().__init__(rotations)
         self.arcs = dict(arcs)
         self._pair_darts()
-        self._build_faces(_faces)
+        self._build_faces()
         self._build_components()
         self.n_cone = len(self.rotations)
         if self.n_cone < 4 or self.n_cone % 2:
@@ -292,8 +290,8 @@ class SphereMap(RotationSystem):
             raise EmbeddingError("rotation darts and arc darts differ")
         self.isolated = {v for v, rot in self.rotations.items() if not rot}
 
-    def _build_faces(self, faces: list[tuple[int, ...]] | None = None) -> None:
-        self.faces = self.face_orbits() if faces is None else faces
+    def _build_faces(self) -> None:
+        self.faces = self.face_orbits()
         self.face_of = {d: f[0] for f in self.faces for d in f}
 
     def _build_components(self) -> None:
@@ -412,8 +410,7 @@ class SphereMap(RotationSystem):
     def without_arcs(self, removed: set[int]) -> "SphereMap":
         """The arrangement with the given arcs erased from the sphere: the
         regions on the two sides of an erased arc merge, and every kept
-        face or newly bare vertex joins the merged region it lay in.  The
-        kept faces are walked once and handed to the constructor."""
+        face or newly bare vertex joins the merged region it lay in."""
         removed = set(removed)
         for aid in removed:
             if aid not in self.arcs:
@@ -434,7 +431,7 @@ class SphereMap(RotationSystem):
         for v, rot in rotations.items():
             if not rot:
                 groups[new_idx[self.vertex_region(v)]]["isolated"].append(v)
-        return SphereMap(rotations, kept_arcs, regions=groups, _faces=faces)
+        return SphereMap(rotations, kept_arcs, regions=groups)
 
     # -- serialization -----------------------------------------------
 

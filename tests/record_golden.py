@@ -16,7 +16,6 @@ a report or a message, and say so in the change.
 from __future__ import annotations
 
 import contextlib
-import dataclasses
 import hashlib
 import importlib
 import io
@@ -103,8 +102,7 @@ def prune_digest(maps) -> str:
     for smap in maps:
         try:
             r = prune.prune(smap)
-            row = {"kept": r.kept, "deleted": r.deleted, "trace": r.trace,
-                   "blocks": [dataclasses.asdict(b) for b in r.blocks]}
+            row = vars(r)
         except HyperbasisError as e:
             row = {"error": type(e).__name__, "message": str(e)}
         digest.update(json.dumps(row, sort_keys=True).encode() + b"\n")

@@ -150,6 +150,21 @@ def test_prune_map_file(tmp_path, capsys):
     assert data["verification"]["rank"] == 4
 
 
+def test_prune_report_keys(tmp_path, capsys):
+    path = tmp_path / "fam.json"
+    path.write_text(families.block_family(3).to_json())
+    out = tmp_path / "pruned.json"
+    assert run(["prune", "--map", str(path), "--out", str(out)], capsys)[0] == 0
+    data = json.loads(out.read_text())
+    assert set(data) == {"blocks", "deleted", "kept", "trace", "verification"}
+    assert data["blocks"]
+    for block in data["blocks"]:
+        assert set(block) == {"arcs", "isolated_vertex", "kind", "vertices"}
+    assert run(["pipeline", "--genus", "2", "--out", str(out)], capsys)[0] == 0
+    section = json.loads(out.read_text())["prune"]
+    assert set(section) == {"blocks", "deleted", "kappa", "kept", "trace"}
+
+
 def test_verify_exit_codes(tmp_path, capsys):
     three = tmp_path / "three.json"
     three.write_text(bones([(1, 2), (3, 4), (5, 6)], 6).to_json())

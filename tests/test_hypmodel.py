@@ -31,7 +31,6 @@ def test_regular_model_g2_constants():
     assert m.circumradius == pytest.approx(1.1462158347805889, abs=1e-9)
     assert m.side == pytest.approx(math.acosh(2.0), abs=1e-12)
     assert math.cosh(m.side) == pytest.approx(2.0, abs=1e-12)
-    assert m.area() == pytest.approx(2 * math.pi, rel=1e-12)
 
 
 def test_regular_model_g3_circumradius():
@@ -166,7 +165,6 @@ def test_synthetic_passthrough():
     m = hypmodel.load_synthetic(synthetic_data())
     assert m.loop_radius(1) == 0.3
     assert m.pair_distance(2, 5) == 2.0
-    assert m.area() == pytest.approx(2 * math.pi, rel=1e-12)
 
 
 @pytest.mark.parametrize(

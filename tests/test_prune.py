@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 
 from hyperbasis import bounds, cover, families, growth, hypmodel, prune
@@ -30,8 +32,8 @@ def test_preliminary_pairs_big_tree():
     kinds = sm.classify_arcs(m, set(m.arcs) - set(loops + leaves))
     assert kinds[1] is sm.ComponentKind.TREE and kinds[4] is sm.ComponentKind.ISOLATED_VERTEX
     (block,) = blocks
-    assert block.isolated_vertex == 4
-    assert sorted(block.arcs) == [1, 2]
+    assert block["isolated_vertex"] == 4
+    assert sorted(block["arcs"]) == [1, 2]
 
 
 def test_preliminary_keeps_bones():
@@ -47,7 +49,7 @@ def test_pipeline_g2_prunes_to_four():
     assert sorted(res.kept) == [1, 3, 4, 5]
     assert res.deleted == (2,)
     (block,) = res.blocks
-    assert block.isolated_vertex == 6 and len(block.arcs) == 4
+    assert block["isolated_vertex"] == 6 and len(block["arcs"]) == 4
     rep = prune.verify(res, graph)
     assert rep["rank"] == 4 and rep["partial_basis"]
 
@@ -79,9 +81,9 @@ def test_three_bones_case_six():
     assert [t["case"] for t in res.trace if "case" in t] == [6]
     assert len(res.kept) == 2
     assert len(res.deleted) == 1
-    paired = [b for b in res.blocks if b.kind == "paired"]
+    paired = [b for b in res.blocks if b["kind"] == "paired"]
     assert len(paired) == 2
-    assert {b.isolated_vertex for b in paired} == set(
+    assert {b["isolated_vertex"] for b in paired} == set(
         bones([(1, 2), (3, 4), (5, 6)], 6).arcs[res.deleted[0]].endpoints()
     )
     prune.verify(res, m)
@@ -127,10 +129,11 @@ def test_simulated_pipeline_meets_floor(g):
 def test_blocks_cover_kept_arcs_with_ratio():
     m = families.block_family(4)
     res = prune.prune(m)
-    arcs_in_blocks = sorted(a for b in res.blocks for a in b.arcs)
+    arcs_in_blocks = sorted(a for b in res.blocks for a in b["arcs"])
     assert arcs_in_blocks == sorted(res.kept)
     for b in res.blocks:
-        assert b.ratio() >= 1.0 / 3.0 - 1e-12
+        nv = len(b["vertices"]) + (b["isolated_vertex"] is not None)
+        assert len(b["arcs"]) / nv >= 1.0 / 3.0 - 1e-12
 
 
 def test_corrupted_result_fails_verification():
@@ -138,12 +141,10 @@ def test_corrupted_result_fails_verification():
     res = prune.prune(m)
     # restore a pruned loop: some region then lacks an isolated vertex
     restored = prune.PruneResult(
-        genus=res.genus,
         kept=tuple(sorted(set(res.kept) | {2})),
         deleted=tuple(a for a in res.deleted if a != 2),
         blocks=res.blocks,
         trace=res.trace,
-        input_isolated=res.input_isolated,
     )
     with pytest.raises(VerificationFailure):
         prune.verify(restored, m)
@@ -161,9 +162,50 @@ def test_arc_split_mismatch_fails_verification(kept, deleted):
     m = families.block_family(2)
     res = prune.prune(m)
     assert (res.kept, sorted(res.deleted)) == ((1, 3), [2, 4])
-    bad = prune.PruneResult(res.genus, kept, deleted, res.blocks, res.trace, res.input_isolated)
+    bad = prune.PruneResult(kept, deleted, res.blocks, res.trace)
     with pytest.raises(VerificationFailure, match="^kept arcs disagree with deletions$"):
         prune.verify(bad, m)
+
+
+def test_floor_discounts_bare_input_vertices():
+    m = families.block_family(3)            # 10 cone points, one of them bare
+    assert (m.genus, len(m.isolated)) == (4, 1)
+    rep = prune.verify(prune.prune(m), m)
+    assert rep["guaranteed"] == 3 and rep["kappa"] == 4
+
+
+def drop_arc_one(res):
+    return dataclasses.replace(
+        res,
+        kept=tuple(a for a in res.kept if a != 1),
+        deleted=res.deleted + (1,),
+        blocks=[b for b in res.blocks if 1 not in b["arcs"]],
+    )
+
+
+def drop_a_block(res):
+    return dataclasses.replace(res, blocks=res.blocks[1:])
+
+
+def widen_a_block(res):
+    first, *rest = res.blocks
+    return dataclasses.replace(res, blocks=[first | {"vertices": (*first["vertices"], 10)}, *rest])
+
+
+@pytest.mark.parametrize(
+    "corrupt, message",
+    [
+        (drop_arc_one, "^only 2 arcs kept, guaranteed 3$"),
+        (drop_a_block, "^blocks do not partition the kept arcs$"),
+        (widen_a_block, "has ratio below one third$"),
+    ],
+)
+def test_corrupted_accounting_fails_verification(corrupt, message):
+    m = families.block_family(3)
+    res = prune.prune(m)
+    assert res.kept == (1, 3, 5) and len(res.blocks) == 3
+    with pytest.raises(VerificationFailure, match=message):
+        prune.verify(corrupt(res), m)
 
 
 def breaks_gauss_bonnet(m) -> bool:
@@ -221,8 +263,8 @@ def test_case_two_pairs_sibling_inner_loop():
     assert len(res.kept) == 2          # the paired sibling and the big loop
     rep = prune.verify(res, m)
     assert rep["partial_basis"] and rep["rank"] == 2
-    paired = [blk for blk in res.blocks if blk.kind == "paired"]
-    assert any(blk.isolated_vertex == 2 for blk in paired)
+    paired = [blk for blk in res.blocks if blk["kind"] == "paired"]
+    assert any(blk["isolated_vertex"] == 2 for blk in paired)
 
 
 def test_case_four_drops_outer_of_empty_ring():
@@ -239,5 +281,5 @@ def test_case_four_drops_outer_of_empty_ring():
     assert res.kept == (1,)
     rep = prune.verify(res, m)
     assert rep["partial_basis"] and rep["rank"] == 1
-    (blk,) = [blk for blk in res.blocks if blk.kind == "paired"]
-    assert blk.arcs == (1,) and blk.isolated_vertex == 1
+    (blk,) = [blk for blk in res.blocks if blk["kind"] == "paired"]
+    assert blk["arcs"] == (1,) and blk["isolated_vertex"] == 1

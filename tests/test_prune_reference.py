@@ -21,7 +21,7 @@ import pytest
 from hyperbasis import families, growth, hypmodel, prune
 from hyperbasis import spheremap as sm
 from hyperbasis.errors import GeometricAssumptionViolated, InputError
-from hyperbasis.prune import Block, PruneResult
+from hyperbasis.prune import PruneResult
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -76,12 +76,12 @@ def reference_preliminary_steps(smap):
         second.append(drop)
         kept = tuple(a for a in comp.edges if a != drop)
         blocks.append(
-            Block(
-                kind="paired",
-                arcs=kept,
-                vertices=tuple(v for v in comp.vertices if v != leaf),
-                isolated_vertex=leaf,
-            )
+            {
+                "kind": "paired",
+                "arcs": kept,
+                "vertices": tuple(v for v in comp.vertices if v != leaf),
+                "isolated_vertex": leaf,
+            }
         )
         trace.append(
             {"action": "prelim-drop-leaf", "component": comp.key, "arc": drop, "freed": leaf}
@@ -93,9 +93,8 @@ def reference_preliminary_steps(smap):
 
 
 def reference_prune(smap) -> PruneResult:
-    input_isolated = len(smap.isolated)
     work, blocks, deleted, trace = reference_preliminary_steps(smap)
-    paired_keys = {min(b.vertices) for b in blocks if b.arcs}
+    paired_keys = {min(b["vertices"]) for b in blocks if b["arcs"]}
 
     tree = sm.region_tree(work, set(work.arcs))
     comp_by_key = {c.key: c for c in work.components}
@@ -120,7 +119,9 @@ def reference_prune(smap) -> PruneResult:
             raise GeometricAssumptionViolated(f"loop {lam} would join two paired blocks")
         paired_loops.add(lam)
         base = work.arcs[lam].base
-        blocks.append(Block(kind="paired", arcs=(lam,), vertices=(base,), isolated_vertex=freed))
+        blocks.append(
+            {"kind": "paired", "arcs": (lam,), "vertices": (base,), "isolated_vertex": freed}
+        )
 
     def pair_with_bone(region, freed):
         if not region.free_bones:
@@ -128,7 +129,8 @@ def reference_prune(smap) -> PruneResult:
         key = min(region.free_bones)
         comp = region.free_bones.pop(key)
         blocks.append(
-            Block(kind="paired", arcs=comp.arcs, vertices=comp.vertices, isolated_vertex=freed)
+            {"kind": "paired", "arcs": comp.arcs, "vertices": comp.vertices,
+             "isolated_vertex": freed}
         )
 
     def merge(lam, low, high):
@@ -225,21 +227,22 @@ def reference_prune(smap) -> PruneResult:
         for v in freed:
             pair_with_bone(region, v)
 
-    in_blocks = {a for b in blocks for a in b.arcs}
+    in_blocks = {a for b in blocks for a in b["arcs"]}
     for comp in sm.components(work, alive):
         extra = [a for a in comp.arcs if a in alive and a not in in_blocks]
         if not extra:
             continue
         kind = "loop" if work.arcs[extra[0]].kind == "loop" else "bone"
-        blocks.append(Block(kind=kind, arcs=tuple(extra), vertices=comp.vertices))
+        blocks.append(
+            {"kind": kind, "arcs": tuple(extra), "vertices": comp.vertices,
+             "isolated_vertex": None}
+        )
 
     return PruneResult(
-        genus=g,
         kept=tuple(sorted(alive)),
         deleted=tuple(deleted),
         blocks=blocks,
         trace=trace,
-        input_isolated=input_isolated,
     )
 
 
