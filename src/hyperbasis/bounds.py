@@ -16,12 +16,8 @@ import math
 from .errors import DomainError
 
 __all__ = [
-    "half_disk_area",
-    "sphere_area",
     "radius_bound",
     "alpha_length_bound",
-    "bavard_bound",
-    "bavard_limit",
     "kappa",
     "theorem_bound",
     "n_lambda",
@@ -34,19 +30,6 @@ def _check_genus(g: int) -> int:
     if not isinstance(g, int) or isinstance(g, bool) or g < 2:
         raise DomainError(f"genus must be an integer >= 2, got {g!r}")
     return g
-
-
-def half_disk_area(r: float) -> float:
-    """Area of an embedded radius-r disk around a cone point of angle pi."""
-    if r < 0:
-        raise DomainError(f"radius must be nonnegative, got {r!r}")
-    return math.pi * (math.cosh(r) - 1.0)
-
-
-def sphere_area(g: int) -> float:
-    """Total area 2*pi*(g-1) of the quotient cone sphere."""
-    _check_genus(g)
-    return 2.0 * math.pi * (g - 1)
 
 
 def radius_bound(g: int, j: int) -> float:
@@ -68,20 +51,6 @@ def alpha_length_bound(g: int, j: int) -> float:
     if not 0 <= j <= 2 * g + 1:
         raise DomainError(f"consumed count must lie in [0, 2g+1], got {j!r}")
     return 4.0 * math.log(4.0 * (g - 1) / (2 * g + 2 - j) + 2.0)
-
-
-def bavard_bound(g: int) -> float:
-    """Sharp genus-g upper bound for the homology systole of the double,
-    4*arccosh(1/(2*sin(pi*(g+1)/(12*g))))."""
-    _check_genus(g)
-    return 4.0 * math.acosh(1.0 / (2.0 * math.sin(math.pi * (g + 1) / (12.0 * g))))
-
-
-def bavard_limit() -> float:
-    """Genus-independent limit 2*log(3 + 2*sqrt(3) + 2*sqrt(5 + 3*sqrt(3)))
-    of bavard_bound, about 5.1067."""
-    s3 = math.sqrt(3.0)
-    return 2.0 * math.log(3.0 + 2.0 * s3 + 2.0 * math.sqrt(5.0 + 3.0 * s3))
 
 
 def kappa(g: int) -> int:

@@ -116,15 +116,18 @@ def cmd_prune(args) -> int:
 
 
 def _parse_subset(text: str) -> frozenset[int]:
-    """Arc ids of a comma-separated ``--subset`` list."""
+    """Arc ids of a comma-separated ``--subset`` list: ASCII decimal
+    integers, optionally negative, as JSON writes them; no sign, space,
+    underscore or other digit is read."""
     ids = []
     for entry in text.split(","):
+        digits = entry.removeprefix("-")
         try:
-            ids.append(int(entry))
+            if not (digits.isascii() and digits.isdecimal()):
+                raise ValueError
+            ids.append(int(entry))      # raises past int's digit limit too
         except ValueError:
-            raise InputError(
-                f"--subset entries must be arc ids, got {entry!r}"
-            ) from None
+            raise InputError(f"--subset entries must be arc ids, got {entry!r}") from None
     return frozenset(ids)
 
 

@@ -27,7 +27,6 @@ loops become figure eights) are validated on every construction.
 from __future__ import annotations
 
 import heapq
-import json
 from collections import defaultdict, deque
 from dataclasses import dataclass
 
@@ -95,13 +94,12 @@ class MasterComplex(RotationSystem):
     def __init__(self, smap: SphereMap, subgraph):
         self.smap = smap
         self.subgraph = frozenset(int(a) for a in subgraph)
-        for aid in self.subgraph:
+        for aid in sorted(self.subgraph):
             if aid not in smap.arcs:
                 raise InputError(f"unknown arc id {aid}")
         super().__init__(smap.rotations)
         self.alpha = dict(smap.alpha)
         self.edges: list[_Edge] = []
-        self.edge_of_dart: dict[int, int] = {}
         self.edge_of_arc: dict[int, int] = {}
         for aid in sorted(smap.arcs):
             a = smap.arcs[aid]
@@ -113,14 +111,10 @@ class MasterComplex(RotationSystem):
 
     # -- low-level surgery --------------------------------------------
 
-    def _register_edge(self, darts, arc_id) -> int:
-        e = _Edge(idx=len(self.edges), darts=tuple(darts), arc_id=arc_id)
-        self.edges.append(e)
-        for d in darts:
-            self.edge_of_dart[d] = e.idx
+    def _register_edge(self, darts, arc_id) -> None:
         if arc_id is not None:
-            self.edge_of_arc[arc_id] = e.idx
-        return e.idx
+            self.edge_of_arc[arc_id] = len(self.edges)
+        self.edges.append(_Edge(idx=len(self.edges), darts=tuple(darts), arc_id=arc_id))
 
     # -- scaffolding ----------------------------------------------------
 
@@ -309,7 +303,6 @@ class CoverComplex:
         self.branch_vertices = sorted(
             {cv for dl, cv in enumerate(vertex_of) if cv == vertex_of[dl ^ 1]}
         )
-        self.lifted_cycles: dict[int, list[tuple[int, ...]]] = {}
         self.kept_cycle: dict[int, tuple[int, ...]] = {}
         self.hsharp: set[int] = set()
         self._lift_arcs()
@@ -332,7 +325,6 @@ class CoverComplex:
                 ends1 = self.edge_endpoints(ce1)
                 if ends0 != ends1 or ends0[0] == ends0[1]:
                     raise ConstructionError(f"edge arc {aid} lift is not a bigon")
-                self.lifted_cycles[aid] = [cycle]
                 self.kept_cycle[aid] = cycle
                 self.hsharp.update(cycle)
             else:
@@ -343,8 +335,6 @@ class CoverComplex:
                 if not (e0[0] == e0[1] == e1[0] == e1[1]):
                     raise ConstructionError(f"loop arc {aid} lift is not a figure eight")
                 kept = self.edge_of_lift[2 * self.dart_index[min(arc.darts)]]
-                other = ce1 if kept == ce0 else ce0
-                self.lifted_cycles[aid] = [(kept,), (other,)]
                 self.kept_cycle[aid] = (kept,)
                 self.hsharp.add(kept)
 
@@ -373,11 +363,6 @@ class CoverComplex:
         """Sphere vertex under cover vertex ``cv``, read off its smallest lift."""
         return self.master.dart_vertex[self.darts[self.lift_of_vertex[cv] // 2]]
 
-    def deck_vertex(self, cv: int) -> int:
-        if not 0 <= cv < self.n_vertices:
-            raise InputError(f"unknown cover vertex {cv}")
-        return self.vertex_of_lift[self.lift_of_vertex[cv] ^ 1]
-
     def euler(self) -> int:
         return self.n_vertices - self.n_edges + self.n_faces
 
@@ -398,38 +383,6 @@ class CoverComplex:
         dl = self.lift_of_edge[ce]
         a, b = self.vertex_of_lift[dl], self.vertex_of_lift[self.alpha_hat[dl]]
         return (a, b) if a <= b else (b, a)
-
-    def to_debug_dict(self) -> dict:
-        return {
-            "n_vertices": self.n_vertices,
-            "n_edges": self.n_edges,
-            "n_faces": self.n_faces,
-            "euler": self.euler(),
-            "branch_vertices": list(self.branch_vertices),
-            "branch_cuts": sorted(self.master.branch_cuts),
-            "scaffold_edges": [
-                e.idx for e in self.master.edges if e.arc_id is None
-            ],
-            "projection_vertices": {
-                str(cv): self._projection_vertex(cv) for cv in range(self.n_vertices)
-            },
-            "projection_edges": {
-                str(ce): self.master.edge_of_dart[self.darts[dl // 2]]
-                for ce, dl in enumerate(self.lift_of_edge)
-            },
-            "sheet_of_lift": [dl % 2 for dl in range(len(self.sigma_hat))],
-            "deck_vertex_map": {
-                str(cv): self.deck_vertex(cv) for cv in range(self.n_vertices)
-            },
-            "lifted_cycles": {
-                str(a): [list(c) for c in cs]
-                for a, cs in sorted(self.lifted_cycles.items())
-            },
-            "hsharp_edges": sorted(self.hsharp),
-        }
-
-    def to_debug_json(self) -> str:
-        return json.dumps(self.to_debug_dict(), sort_keys=True)
 
 
 def build_cover(smap: SphereMap, subgraph) -> CoverComplex:

@@ -1,24 +1,18 @@
-"""Constructed arrangement families for experiments and verification.
+"""The loop-around-bone block family.
 
 The block family places n bones each surrounded by a loop, side by side
 on the sphere; with 3n marked points (n even) pruning must recover
 exactly the n bones.  For odd n one extra bare cone point keeps the
-marked-point count even; it never joins a block.
-
-Random growth-shaped maps replay the growth process combinatorially
-with random choices: every inserted arc has a bare endpoint, so the
-components stay loops, trees, and looped trees, while nesting, loop
-contents, and attachment corners are randomized.
+marked-point count even; it never joins a block.  The benchmark's
+self-test checks its own block maps against this family.
 """
 
 from __future__ import annotations
 
-import random
-
 from .errors import InputError
 from .spheremap import MapBuilder, SphereMap
 
-__all__ = ["block_family", "random_growth_map", "random_subgraph"]
+__all__ = ["block_family"]
 
 
 def block_family(n: int) -> SphereMap:
@@ -36,58 +30,3 @@ def block_family(n: int) -> SphereMap:
         aid += 1
         builder.add_loop(aid, base, {u, w})
     return builder.finalize()
-
-
-def random_growth_map(rng: random.Random, n_cone: int) -> SphereMap:
-    """Random arrangement produced by growth-rule insertions.
-
-    ``n_cone`` must be even and at least 4.  Active vertices are exactly
-    the bare ones; each step freezes one or two of them with a random
-    feasible event.
-    """
-    if n_cone < 4 or n_cone % 2:
-        raise InputError("cone count must be even and at least 4")
-    builder = MapBuilder(range(1, n_cone + 1))
-    active = set(range(1, n_cone + 1))
-    aid = 0
-    while active:
-        aid += 1
-        i = rng.choice(sorted(active))
-        region = builder.region_of_vertex(i)
-        others = [v for v in sorted(active) if v != i and builder.region_of_vertex(v) == region]
-        hosts = []
-        for w in sorted(builder.rotations):
-            if w in active or not builder.rotations[w]:
-                continue
-            if builder.corners_on_region(w, region):
-                hosts.append(w)
-        moves = ["self"]
-        if others:
-            moves.append("pair")
-        if hosts:
-            moves.append("attach")
-        move = rng.choice(moves)
-        if move == "pair":
-            w = rng.choice(others)
-            builder.add_bone(aid, i, w)
-            active -= {i, w}
-        elif move == "attach":
-            w = rng.choice(hosts)
-            corners = builder.corners_on_region(w, region)
-            builder.attach_edge(aid, i, w, rng.choice(corners))
-            active.discard(i)
-        else:
-            enclosed: set[int] = set()
-            for item in builder.region_item_contents(region):
-                if item["vertices"] == {i}:
-                    continue
-                if rng.random() < 0.5:
-                    enclosed |= item["vertices"]
-            builder.add_loop(aid, i, enclosed)
-            active.discard(i)
-    return builder.finalize()
-
-
-def random_subgraph(rng: random.Random, smap: SphereMap, keep_prob: float = 0.6):
-    """Random arc subset of a map, for exercising the separation tests."""
-    return frozenset(a for a in smap.arcs if rng.random() < keep_prob)

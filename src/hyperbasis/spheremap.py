@@ -412,7 +412,7 @@ class SphereMap(RotationSystem):
         regions on the two sides of an erased arc merge, and every kept
         face or newly bare vertex joins the merged region it lay in."""
         removed = set(removed)
-        for aid in removed:
+        for aid in sorted(removed):
             if aid not in self.arcs:
                 raise InputError(f"unknown arc id {aid}")
         kept_arcs = {a: self.arcs[a] for a in self.arcs if a not in removed}
@@ -459,9 +459,6 @@ class SphereMap(RotationSystem):
                 for r in self.regions
             ],
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True)
 
 
 def from_json(data) -> SphereMap:
@@ -641,11 +638,11 @@ def region_tree(smap: SphereMap, subgraph, *, erased=()) -> RegionTree:
     """
     arcs = smap.arcs
     sub = frozenset(int(a) for a in subgraph)
-    for aid in sub:
+    ordered = sorted(sub)
+    for aid in ordered:
         if aid not in arcs:
             raise InputError(f"unknown arc id {aid}")
     bad_shape = InputError("subgraph has a component outside the growth shapes")
-    ordered = sorted(sub)
     loop_arcs = [a for a in ordered if arcs[a].kind == "loop"]
     bases = {arcs[a].base for a in loop_arcs}
     if len(bases) != len(loop_arcs):

@@ -1,6 +1,25 @@
-"""Small arrangement builders shared across the test modules."""
+"""Arrangement builders shared across the test modules: small fixed
+maps, random growth-shaped maps and arc subsets, and map JSON.
 
+Random growth-shaped maps replay the growth process combinatorially
+with random choices: every inserted arc has a bare endpoint, so the
+components stay loops, trees, and looped trees, while nesting, loop
+contents, and attachment corners are randomized.  The golden family
+digests pin their draws, so a change to them re-records the pins.
+"""
+
+from __future__ import annotations
+
+import json
+import random
+
+from hyperbasis.errors import InputError
 from hyperbasis.spheremap import Arc, MapBuilder, SphereMap
+
+
+def map_json(m: SphereMap) -> str:
+    """A map's JSON description, keys sorted, as ``from_json`` reads it."""
+    return json.dumps(m.to_dict(), sort_keys=True)
 
 
 def euler_summary(m: SphereMap) -> tuple[int, int, int, int]:
@@ -44,3 +63,58 @@ def sibling_loops(n: int) -> SphereMap:
     for v in range(1, n + 1):
         b.add_loop(v, v, set())
     return b.finalize()
+
+
+def random_growth_map(rng: random.Random, n_cone: int) -> SphereMap:
+    """Random arrangement produced by growth-rule insertions.
+
+    ``n_cone`` must be even and at least 4.  Active vertices are exactly
+    the bare ones; each step freezes one or two of them with a random
+    feasible event.
+    """
+    if n_cone < 4 or n_cone % 2:
+        raise InputError("cone count must be even and at least 4")
+    builder = MapBuilder(range(1, n_cone + 1))
+    active = set(range(1, n_cone + 1))
+    aid = 0
+    while active:
+        aid += 1
+        i = rng.choice(sorted(active))
+        region = builder.region_of_vertex(i)
+        others = [v for v in sorted(active) if v != i and builder.region_of_vertex(v) == region]
+        hosts = []
+        for w in sorted(builder.rotations):
+            if w in active or not builder.rotations[w]:
+                continue
+            if builder.corners_on_region(w, region):
+                hosts.append(w)
+        moves = ["self"]
+        if others:
+            moves.append("pair")
+        if hosts:
+            moves.append("attach")
+        move = rng.choice(moves)
+        if move == "pair":
+            w = rng.choice(others)
+            builder.add_bone(aid, i, w)
+            active -= {i, w}
+        elif move == "attach":
+            w = rng.choice(hosts)
+            corners = builder.corners_on_region(w, region)
+            builder.attach_edge(aid, i, w, rng.choice(corners))
+            active.discard(i)
+        else:
+            enclosed: set[int] = set()
+            for item in builder.region_item_contents(region):
+                if item["vertices"] == {i}:
+                    continue
+                if rng.random() < 0.5:
+                    enclosed |= item["vertices"]
+            builder.add_loop(aid, i, enclosed)
+            active.discard(i)
+    return builder.finalize()
+
+
+def random_subgraph(rng: random.Random, smap: SphereMap, keep_prob: float = 0.6):
+    """Random arc subset of a map, for exercising the separation tests."""
+    return frozenset(a for a in smap.arcs if rng.random() < keep_prob)

@@ -8,9 +8,10 @@ code, the sha256 of its stdout and its stderr to ``golden_reports.json``,
 which ``test_golden_reports.py`` checks.  The same file pins one sha256
 of the prune results of each seeded map family (region ids in traces and
 messages follow the order of region merges), one of the ``prune.verify``
-reports of the maps in it that prune, and the cover debug dumps of a
-few fixed systems.  Rerun it only when a change is meant to alter
-a report or a message, and say so in the change.
+reports of the maps in it that prune, and the cover debug dumps
+(``coverqueries.debug_json``) of a few fixed systems.  Rerun it only
+when a change is meant to alter a report or a message, and say so in
+the change.
 """
 
 from __future__ import annotations
@@ -46,7 +47,7 @@ COMMANDS = [
 
 def write_inputs(directory: Path) -> None:
     """The map and model files the commands name, relative to ``directory``."""
-    from mapfactory import bones, sibling_loops
+    from mapfactory import bones, map_json, sibling_loops
 
     from hyperbasis import families, prune
 
@@ -57,7 +58,7 @@ def write_inputs(directory: Path) -> None:
         "siblings.json": sibling_loops(8),
     }
     for name, smap in maps.items():
-        (directory / name).write_text(smap.to_json())
+        (directory / name).write_text(map_json(smap))
     (directory / "truncated.json").write_text('{"vertices": [')
     dist = [[0.0 if a == b else 2.0 for b in range(6)] for a in range(6)]
     dist[1][2] = dist[2][1] = dist[4][5] = dist[5][4] = 0.4
@@ -79,11 +80,13 @@ def perfbench_gen():
 
 def family_maps(family: str) -> list:
     """The seeded maps of one prune family."""
-    from hyperbasis import families, spheremap
+    from mapfactory import random_growth_map
+
+    from hyperbasis import spheremap
 
     if family == "random_growth_map":
         rng = random.Random(15)
-        return [families.random_growth_map(rng, rng.randrange(4, 81, 2)) for _ in range(300)]
+        return [random_growth_map(rng, rng.randrange(4, 81, 2)) for _ in range(300)]
     gen = perfbench_gen()
     rng = random.Random(16)
     return [
@@ -130,8 +133,9 @@ def verify_digest(maps) -> str:
 
 
 def cover_dump(name: str) -> str:
-    """``to_debug_json()`` of one of the ``COVER_DUMPS`` covers."""
-    from mapfactory import hexagon_sub
+    """``coverqueries.debug_json`` of one of the ``COVER_DUMPS`` covers."""
+    from coverqueries import debug_json
+    from mapfactory import hexagon_sub, random_subgraph
 
     from hyperbasis import cover, families, spheremap
 
@@ -143,8 +147,8 @@ def cover_dump(name: str) -> str:
     else:
         rng = random.Random(17)
         smap = spheremap.from_json(perfbench_gen().nested_arrangement(rng, 16)[0])
-        sub = families.random_subgraph(rng, smap)
-    return cover.build_cover(smap, sub).to_debug_json()
+        sub = random_subgraph(rng, smap)
+    return debug_json(cover.build_cover(smap, sub))
 
 
 def outcome(argv: list[str]) -> dict:

@@ -13,8 +13,11 @@ import time
 
 import pytest
 
+import coverqueries
 from hyperbasis import bounds, cli, cover, families, growth, hypmodel, jacobian, prune
 from hyperbasis import spheremap as sm
+from mapfactory import random_growth_map, random_subgraph
+from test_bounds import bavard_limit
 
 _state: dict = {}
 
@@ -30,7 +33,7 @@ def _report(name: str, elapsed: float, limit: float) -> None:
 
 def test_criterion_1_constants():
     t0 = time.perf_counter()
-    limit_val = bounds.bavard_limit()
+    limit_val = bavard_limit()
     naive = 4.0 * math.acosh(2.0)
     elapsed = time.perf_counter() - t0
     assert limit_val == pytest.approx(5.1067, abs=1e-4)
@@ -69,7 +72,7 @@ def test_criterion_3_component_classification():
     rng = random.Random(20240817)
     synthetic = []
     for _ in range(1000):
-        m = families.random_growth_map(rng, rng.choice([4, 6, 8, 10, 12]))
+        m = random_growth_map(rng, rng.choice([4, 6, 8, 10, 12]))
         assert set(sm.classify_components(m)) <= valid
         synthetic.append(m)
     elapsed = time.perf_counter() - t0
@@ -84,8 +87,8 @@ def test_criterion_4_separation_equivalence():
     for i in range(500):
         m = _state["synthetic"][i] if i < len(_state["synthetic"]) else None
         if m is None or m.n_cone > 12:
-            m = families.random_growth_map(rng, rng.choice([4, 6, 8, 10, 12]))
-        subgraph = families.random_subgraph(rng, m)
+            m = random_growth_map(rng, rng.choice([4, 6, 8, 10, 12]))
+        subgraph = random_subgraph(rng, m)
         parity = sm.is_nonseparating(m, subgraph)
         cov = cover.build_cover(m, subgraph)
         assert parity == (cover.complement_components(cov) == 1)
@@ -108,7 +111,7 @@ def test_criterion_5_cover_census():
             assert cov.is_connected()
             assert len(cov.branch_vertices) == 2 * g + 2
             for aid in subgraph:
-                cycles = cov.lifted_cycles[aid]
+                cycles = coverqueries.lifted_cycles(cov, aid)
                 if graph.arcs[aid].kind == "edge":
                     assert len(cycles) == 1 and len(cycles[0]) == 2
                 else:

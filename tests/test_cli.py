@@ -13,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 
 from hyperbasis import cli, cover, families, prune
 from hyperbasis.errors import ConstructionError
-from mapfactory import bones, polygon_cycle, sibling_loops
+from mapfactory import bones, map_json, polygon_cycle, random_growth_map, sibling_loops
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -134,14 +134,14 @@ def test_parsed_values_do_not_leak_between_calls(tmp_path, capsys):
 
 def test_pipeline_bad_model_exits_3(tmp_path, capsys):
     bad = tmp_path / "badmap.json"
-    bad.write_text(sibling_loops(8).to_json())
+    bad.write_text(map_json(sibling_loops(8)))
     code, _, _ = run(["prune", "--map", str(bad)], capsys)
     assert code == 3
 
 
 def test_prune_map_file(tmp_path, capsys):
     path = tmp_path / "fam.json"
-    path.write_text(families.block_family(4).to_json())
+    path.write_text(map_json(families.block_family(4)))
     out = tmp_path / "pruned.json"
     code, _, _ = run(["prune", "--map", str(path), "--out", str(out)], capsys)
     assert code == 0
@@ -152,7 +152,7 @@ def test_prune_map_file(tmp_path, capsys):
 
 def test_prune_report_keys(tmp_path, capsys):
     path = tmp_path / "fam.json"
-    path.write_text(families.block_family(3).to_json())
+    path.write_text(map_json(families.block_family(3)))
     out = tmp_path / "pruned.json"
     assert run(["prune", "--map", str(path), "--out", str(out)], capsys)[0] == 0
     data = json.loads(out.read_text())
@@ -167,7 +167,7 @@ def test_prune_report_keys(tmp_path, capsys):
 
 def test_verify_exit_codes(tmp_path, capsys):
     three = tmp_path / "three.json"
-    three.write_text(bones([(1, 2), (3, 4), (5, 6)], 6).to_json())
+    three.write_text(map_json(bones([(1, 2), (3, 4), (5, 6)], 6)))
     code, out, err = run(["verify", "--map", str(three)], capsys)
     assert code == 1
     assert "separating" in err
@@ -390,11 +390,20 @@ def test_malformed_map_exits_2(mutate, message, tmp_path, capsys):
         ("1,,2", "--subset entries must be arc ids, got ''"),
         ("1,2x", "--subset entries must be arc ids, got '2x'"),
         ("", "--subset entries must be arc ids, got ''"),
+        # int() would read these as arcs 10, 1, 1 and 1
+        ("1_0", "--subset entries must be arc ids, got '1_0'"),
+        ("\u0661", "--subset entries must be arc ids, got '\u0661'"),
+        ("+1", "--subset entries must be arc ids, got '+1'"),
+        (" 1", "--subset entries must be arc ids, got ' 1'"),
+        # the smallest unknown id is named, whatever the set table's order
+        ("16,9", "unknown arc id 9"),
+        ("1,12,9,40", "unknown arc id 9"),
+        pytest.param("9" * 5000, "--subset entries must be arc ids", id="past-int-digit-limit"),
     ],
 )
 def test_verify_bad_subset_exits_2(subset, message, tmp_path, capsys):
     path = tmp_path / "three.json"
-    path.write_text(bones([(1, 2), (3, 4), (5, 6)], 6).to_json())
+    path.write_text(map_json(bones([(1, 2), (3, 4), (5, 6)], 6)))
     code, out, err = run(["verify", "--map", str(path), "--subset", subset], capsys)
     assert code == 2
     assert out == ""
@@ -407,7 +416,7 @@ def test_construction_error_exits_4(monkeypatch, tmp_path, capsys):
 
     monkeypatch.setattr(cover, "build_cover", broken)
     path = tmp_path / "fam.json"
-    path.write_text(families.block_family(4).to_json())
+    path.write_text(map_json(families.block_family(4)))
     code, out, err = run(["verify", "--map", str(path)], capsys)
     assert code == 4
     assert out == ""
@@ -421,7 +430,7 @@ def test_unexpected_exception_exits_4(monkeypatch, tmp_path, capsys):
 
     monkeypatch.setattr(prune, "prune", broken)
     path = tmp_path / "fam.json"
-    path.write_text(families.block_family(4).to_json())
+    path.write_text(map_json(families.block_family(4)))
     code, out, err = run(["prune", "--map", str(path)], capsys)
     assert code == 4
     assert out == ""
@@ -431,7 +440,7 @@ def test_unexpected_exception_exits_4(monkeypatch, tmp_path, capsys):
 
 def test_genus_one_prune_exits_2_before_pruning(monkeypatch, tmp_path, capsys):
     path = tmp_path / "genus1.json"
-    path.write_text(families.random_growth_map(random.Random(0), 4).to_json())
+    path.write_text(map_json(random_growth_map(random.Random(0), 4)))
     code, _, _ = run(["verify", "--map", str(path)], capsys)
     assert code == 1                 # a genus-1 map is still verifiable
     calls = []
@@ -445,7 +454,7 @@ def test_genus_one_prune_exits_2_before_pruning(monkeypatch, tmp_path, capsys):
 
 def test_prune_shape_error_names_the_component(tmp_path, capsys):
     path = tmp_path / "hexagon.json"
-    path.write_text(polygon_cycle(6).to_json())
+    path.write_text(map_json(polygon_cycle(6)))
     code, out, err = run(["prune", "--map", str(path)], capsys)
     assert code == 2
     assert out == ""
@@ -458,7 +467,7 @@ def test_prune_shape_error_names_the_component(tmp_path, capsys):
 @pytest.mark.parametrize("command", ["prune", "verify"])
 def test_map_file_not_utf8_exits_2(command, tmp_path, capsys):
     path = tmp_path / "map.json"
-    path.write_bytes(b"\xff\xfe" + families.block_family(4).to_json().encode("utf-16-le"))
+    path.write_bytes(b"\xff\xfe" + map_json(families.block_family(4)).encode("utf-16-le"))
     code, out, err = run([command, "--map", str(path)], capsys)
     assert code == 2
     assert out == ""
@@ -500,7 +509,7 @@ def parity_flipped(monkeypatch):
 )
 def test_verify_oracles_disagreeing_exits_4(parity_flipped, subset, verdicts, tmp_path, capsys):
     path = tmp_path / "three.json"
-    path.write_text(bones([(1, 2), (3, 4), (5, 6)], 6).to_json())
+    path.write_text(map_json(bones([(1, 2), (3, 4), (5, 6)], 6)))
     code, out, err = run(["verify", "--map", str(path), "--subset", subset], capsys)
     assert code == 4
     assert out == ""
@@ -509,7 +518,7 @@ def test_verify_oracles_disagreeing_exits_4(parity_flipped, subset, verdicts, tm
 
 def test_prune_oracles_disagreeing_exits_4(parity_flipped, tmp_path, capsys):
     path = tmp_path / "fam.json"
-    path.write_text(families.block_family(4).to_json())
+    path.write_text(map_json(families.block_family(4)))
     code, out, err = run(["prune", "--map", str(path)], capsys)
     assert code == 4
     assert out == ""

@@ -10,7 +10,7 @@ import coverqueries
 from hyperbasis import cover, families, prune
 from hyperbasis import spheremap as sm
 from hyperbasis.errors import InputError
-from mapfactory import bones, hexagon_sub, polygon_cycle
+from mapfactory import bones, hexagon_sub, polygon_cycle, random_growth_map, random_subgraph
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -33,7 +33,7 @@ def test_cover_census_g2():
 def test_edge_lift_is_bigon():
     m = hexagon_sub([1])
     cov = cover.build_cover(m, [1])
-    (cycle,) = cov.lifted_cycles[1]
+    (cycle,) = coverqueries.lifted_cycles(cov, 1)
     assert len(cycle) == 2
     ends = {cov.edge_endpoints(ce) for ce in cycle}
     assert len(ends) == 1           # both lifts join the same two branch points
@@ -46,7 +46,7 @@ def test_loop_lift_is_figure_eight():
     b.add_loop(1, 1, {2, 3})
     m = b.finalize()
     cov = cover.build_cover(m, [1])
-    cycles = cov.lifted_cycles[1]
+    cycles = coverqueries.lifted_cycles(cov, 1)
     assert [len(c) for c in cycles] == [1, 1]
     wedges = {cov.edge_endpoints(c[0]) for c in cycles}
     assert len(wedges) == 1
@@ -61,7 +61,7 @@ def test_figure_eight_pair_is_separating_and_dependent():
     b.add_loop(1, 1, {2, 3})
     m = b.finalize()
     cov = cover.build_cover(m, [1])
-    kept, other = cov.lifted_cycles[1]
+    kept, other = coverqueries.lifted_cycles(cov, 1)
     assert cover.complement_components(cov, set(kept)) == 1
     assert cover.complement_components(cov, set(kept) | set(other)) == 2
     assert cover.z2_cycle_rank(cov, [kept]) == 1
@@ -153,8 +153,8 @@ def test_winding_rejects_vertex_pinch():
 def test_winding_parity_additivity_random():
     rng = random.Random(31)
     for _ in range(40):
-        m = families.random_growth_map(rng, rng.choice([6, 8, 10]))
-        cov = cover.build_cover(m, families.random_subgraph(rng, m))
+        m = random_growth_map(rng, rng.choice([6, 8, 10]))
+        cov = cover.build_cover(m, random_subgraph(rng, m))
         for v in sorted(m.rotations):
             if m.rotations[v]:
                 assert coverqueries.winding_parity(cov, coverqueries.vertex_circle(cov, v)) == 1
@@ -163,8 +163,8 @@ def test_winding_parity_additivity_random():
 def test_partial_basis_never_exceeds_2g():
     rng = random.Random(77)
     for _ in range(120):
-        m = families.random_growth_map(rng, rng.choice([4, 6, 8]))
-        H = families.random_subgraph(rng, m)
+        m = random_growth_map(rng, rng.choice([4, 6, 8]))
+        H = random_subgraph(rng, m)
         if cover.verdict(m, H, sm.is_nonseparating(m, H))[0] == 1:
             assert len(H) <= 2 * m.genus
 
@@ -172,8 +172,8 @@ def test_partial_basis_never_exceeds_2g():
 def test_branch_cuts_avoid_arc_system():
     rng = random.Random(5)
     for _ in range(60):
-        m = families.random_growth_map(rng, rng.choice([4, 6, 8, 10]))
-        H = families.random_subgraph(rng, m)
+        m = random_growth_map(rng, rng.choice([4, 6, 8, 10]))
+        H = random_subgraph(rng, m)
         cov = cover.build_cover(m, H)
         for aid in H:
             assert cov.master.edge_of_arc[aid] not in cov.master.branch_cuts
@@ -183,7 +183,7 @@ def test_deck_involution_properties():
     m = hexagon_sub([1, 2, 3])
     cov = cover.build_cover(m, [1, 2, 3])
     fixed = [
-        cv for cv in range(cov.n_vertices) if cov.deck_vertex(cv) == cv
+        cv for cv in range(cov.n_vertices) if coverqueries.deck_vertex(cov, cv) == cv
     ]
     assert sorted(fixed) == cov.branch_vertices
     assert len(fixed) == 6
@@ -192,7 +192,7 @@ def test_deck_involution_properties():
 def test_debug_dump_roundtrips_json():
     m = hexagon_sub([1, 3])
     cov = cover.build_cover(m, [1, 3])
-    data = json.loads(cov.to_debug_json())
+    data = json.loads(coverqueries.debug_json(cov))
     assert data["euler"] == -2
     assert data["n_vertices"] - data["n_edges"] + data["n_faces"] == -2
 
@@ -313,8 +313,8 @@ def differential_cases():
         yield m, [a for a in sorted(m.arcs) if m.arcs[a].kind == "edge"]
     rng = random.Random(2024)
     for _ in range(150):
-        m = families.random_growth_map(rng, rng.choice([4, 6, 8, 12, 16, 24]))
-        yield m, families.random_subgraph(rng, m)
+        m = random_growth_map(rng, rng.choice([4, 6, 8, 12, 16, 24]))
+        yield m, random_subgraph(rng, m)
 
 
 def scaffold_cases():
@@ -329,7 +329,7 @@ def scaffold_cases():
         smap, _model = gen.nested_arrangement(rng, rng.randrange(8, 65, 2))
         m = sm.from_json(json.dumps(smap))
         yield m, sorted(m.arcs)
-        yield m, families.random_subgraph(rng, m)
+        yield m, random_subgraph(rng, m)
 
 
 def test_single_pass_scaffold_matches_restart_loop(monkeypatch):
@@ -356,9 +356,9 @@ def test_lift_tables_match_linear_scans():
         for ce in range(cov.n_edges):
             assert cov.edge_endpoints(ce) == scan_edge_endpoints(cov, ce)
         for cv in range(cov.n_vertices):
-            assert cov.deck_vertex(cv) == scan_deck_vertex(cov, cv)
+            assert coverqueries.deck_vertex(cov, cv) == scan_deck_vertex(cov, cv)
     with pytest.raises(InputError):
-        cov.deck_vertex(cov.n_vertices)
+        coverqueries.deck_vertex(cov, cov.n_vertices)
 
 
 class CountingDict(dict):

@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+import mapfactory
 from hyperbasis import families, growth, hypmodel
 from hyperbasis import spheremap as sm
 from hyperbasis.errors import EmbeddingError, HyperbasisError, InputError
@@ -233,9 +234,9 @@ class TwinBuilder:
 
 @pytest.fixture
 def twin(monkeypatch):
-    """Every builder that growth, the families and the benchmark's input
-    generator make is a twin."""
-    for owner in (sm, families, hypmodel):
+    """Every builder that growth, the map families and the benchmark's
+    input generator make is a twin."""
+    for owner in (sm, families, hypmodel, mapfactory):
         monkeypatch.setattr(owner, "MapBuilder", TwinBuilder)
     monkeypatch.setattr(TwinBuilder, "insertions", 0)
     return TwinBuilder
@@ -244,7 +245,7 @@ def twin(monkeypatch):
 def test_random_growth_maps_match_reference(twin):
     rng = random.Random(8)
     for _ in range(300):
-        families.random_growth_map(rng, rng.randrange(4, 41, 2))
+        mapfactory.random_growth_map(rng, rng.randrange(4, 41, 2))
     assert twin.insertions > 5000
 
 

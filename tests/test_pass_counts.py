@@ -16,6 +16,7 @@ from collections import Counter
 import pytest
 
 from hyperbasis import cli, cover, families, spheremap
+from mapfactory import map_json, random_growth_map
 
 
 def count_calls(monkeypatch, counts, key, owners, name):
@@ -34,7 +35,7 @@ def count_calls(monkeypatch, counts, key, owners, name):
 MAPS = [
     pytest.param(lambda: families.block_family(10), False, id="10"),
     pytest.param(lambda: families.block_family(40), False, id="40"),
-    pytest.param(lambda: families.random_growth_map(random.Random(0), 16), True, id="random-16"),
+    pytest.param(lambda: random_growth_map(random.Random(0), 16), True, id="random-16"),
 ]
 
 
@@ -42,7 +43,7 @@ MAPS = [
 def test_prune_map_derives_each_structure_once(make, trims, tmp_path, monkeypatch, capsys):
     smap = make()
     path = tmp_path / "map.json"
-    path.write_text(smap.to_json())
+    path.write_text(map_json(smap))
     out = tmp_path / "report.json"
     package = [m for n, m in sys.modules.items() if n.split(".")[0] == "hyperbasis"]
     binds_components = [

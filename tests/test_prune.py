@@ -5,7 +5,7 @@ import pytest
 from hyperbasis import bounds, cover, families, growth, hypmodel, prune
 from hyperbasis import spheremap as sm
 from hyperbasis.errors import GeometricAssumptionViolated, VerificationFailure
-from mapfactory import bones, sibling_loops
+from mapfactory import bones, random_growth_map, sibling_loops
 
 
 def test_preliminary_drops_loop_of_looped_tree():
@@ -227,7 +227,7 @@ def test_random_growth_maps_prune_clean():
     clean = 0
     for _ in range(60):
         n = rng.choice([6, 8, 10, 12])
-        m = families.random_growth_map(rng, n)
+        m = random_growth_map(rng, n)
         try:
             res = prune.prune(m)
         except GeometricAssumptionViolated:

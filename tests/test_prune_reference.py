@@ -22,6 +22,7 @@ from hyperbasis import families, growth, hypmodel, prune
 from hyperbasis import spheremap as sm
 from hyperbasis.errors import GeometricAssumptionViolated, InputError
 from hyperbasis.prune import PruneResult
+from mapfactory import random_growth_map
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -281,7 +282,7 @@ def test_random_growth_maps_match_reference():
     rng = random.Random(31)
     pruned = 0
     for _ in range(1500):
-        m = families.random_growth_map(rng, rng.randrange(4, 61, 2))
+        m = random_growth_map(rng, rng.randrange(4, 61, 2))
         pruned += isinstance(assert_same_as_reference(m), PruneResult)
     assert 0 < pruned < 1500       # both the clean and the rejecting paths ran
 

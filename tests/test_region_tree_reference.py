@@ -27,7 +27,7 @@ from hyperbasis.spheremap import (
     from_json,
     region_tree,
 )
-from mapfactory import polygon_cycle
+from mapfactory import polygon_cycle, random_growth_map, random_subgraph
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 SHAPE_ERROR = "subgraph has a component outside the growth shapes"
@@ -239,7 +239,7 @@ class Tally:
 
     def check_all_and_subset(self, smap, rng) -> None:
         self.check(smap, smap.arcs)
-        self.check(smap, families.random_subgraph(rng, smap))
+        self.check(smap, random_subgraph(rng, smap))
 
 
 @pytest.fixture(scope="module")
@@ -263,7 +263,7 @@ def test_random_growth_maps_match_reference():
     rng = random.Random(11)
     tally = Tally()
     for _ in range(1500):
-        tally.check_all_and_subset(families.random_growth_map(rng, rng.randrange(4, 41, 2)), rng)
+        tally.check_all_and_subset(random_growth_map(rng, rng.randrange(4, 41, 2)), rng)
     assert (tally.inputs, tally.rejected) == (3000, 0)
 
 
@@ -300,10 +300,10 @@ def test_cover_master_subsets_match_reference():
     rng = random.Random(29)
     tally = Tally()
     for _ in range(250):
-        smap = families.random_growth_map(rng, rng.randrange(4, 25, 2))
-        master = master_map(smap, families.random_subgraph(rng, smap))
+        smap = random_growth_map(rng, rng.randrange(4, 25, 2))
+        master = master_map(smap, random_subgraph(rng, smap))
         for _ in range(4):
-            tally.check(master, families.random_subgraph(rng, master, rng.uniform(0.2, 0.8)))
+            tally.check(master, random_subgraph(rng, master, rng.uniform(0.2, 0.8)))
     assert tally.inputs == 1000
     assert 400 <= tally.rejected < tally.inputs
 

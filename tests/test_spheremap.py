@@ -3,10 +3,18 @@ import random
 
 import pytest
 
-from hyperbasis import families, growth, hypmodel
+from hyperbasis import cover, families, growth, hypmodel
 from hyperbasis import spheremap as sm
 from hyperbasis.errors import EmbeddingError, InputError
-from mapfactory import bones, euler_summary, hexagon_sub, polygon_cycle, sibling_loops
+from mapfactory import (
+    bones,
+    euler_summary,
+    hexagon_sub,
+    polygon_cycle,
+    random_growth_map,
+    random_subgraph,
+    sibling_loops,
+)
 from record_golden import perfbench_gen
 
 
@@ -171,7 +179,7 @@ def test_theta_graph_invalid():
 def test_growth_outputs_classify_clean():
     rng = random.Random(4)
     for _ in range(50):
-        m = families.random_growth_map(rng, rng.choice([4, 6, 8, 10]))
+        m = random_growth_map(rng, rng.choice([4, 6, 8, 10]))
         assert sm.ComponentKind.INVALID not in sm.classify_components(m)
     for g in range(2, 13):
         model = hypmodel.regular_model(g)
@@ -284,6 +292,24 @@ def test_without_arcs_updates_regions():
     assert len(sub2.regions) == 1
 
 
+@pytest.mark.parametrize(
+    "check",
+    [
+        lambda m, ids: sm.region_tree(m, ids),
+        lambda m, ids: cover.MasterComplex(m, ids),
+        lambda m, ids: m.without_arcs(ids),
+    ],
+    ids=["region_tree", "MasterComplex", "without_arcs"],
+)
+@pytest.mark.parametrize("ids", [{16, 9}, {9, 16}, {1, 40, 12, 9}, {-2, 9, 3}])
+def test_unknown_arc_named_is_the_smallest(check, ids):
+    """Set iteration order does not pick the id an error names."""
+    m = families.block_family(2)
+    smallest = min(a for a in ids if a not in m.arcs)
+    with pytest.raises(InputError, match=f"^unknown arc id {smallest}$"):
+        check(m, set(ids))
+
+
 def test_sibling_loops_map():
     m = sibling_loops(8)
     assert euler_summary(m) == (8, 8, 9, 8)
@@ -326,7 +352,7 @@ def test_mapbuilder_face_lookup_matches_full_recompute(monkeypatch):
         monkeypatch.setattr(sm.MapBuilder, name, checked_insert)
     rng = random.Random(11)
     for _ in range(60):
-        families.random_growth_map(rng, rng.choice([4, 6, 8, 12, 16]))
+        random_growth_map(rng, rng.choice([4, 6, 8, 12, 16]))
     families.block_family(5)
     assert len(checked) > 300
 
@@ -399,10 +425,10 @@ def removal_cases():
         m = families.block_family(n)
         yield m, set()
         yield m, set(m.arcs)
-        yield m, set(m.arcs) - families.random_subgraph(rng, m)
+        yield m, set(m.arcs) - random_subgraph(rng, m)
     for _ in range(150):
-        m = families.random_growth_map(rng, rng.choice([4, 6, 8, 12, 16, 24]))
-        yield m, set(m.arcs) - families.random_subgraph(rng, m)
+        m = random_growth_map(rng, rng.choice([4, 6, 8, 12, 16, 24]))
+        yield m, set(m.arcs) - random_subgraph(rng, m)
 
 
 def test_without_arcs_matches_replayed_constructor():
@@ -500,7 +526,7 @@ def nesting_cases():
     gen = perfbench_gen()
     rng = random.Random(18)
     maps = [families.block_family(n) for n in range(2, 12)]
-    maps += [families.random_growth_map(rng, rng.randrange(4, 25, 2)) for _ in range(50)]
+    maps += [random_growth_map(rng, rng.randrange(4, 25, 2)) for _ in range(50)]
     maps += [sm.from_json(gen.nested_arrangement(rng, rng.randrange(8, 33, 2))[0])
              for _ in range(40)]
     for m in maps:
@@ -534,8 +560,8 @@ def test_region_tree_of_erased_arcs_matches_the_erased_map():
     own tree does."""
     rng = random.Random(23)
     for _ in range(300):
-        m = families.random_growth_map(rng, rng.choice([6, 8, 12, 16, 24]))
-        sub = families.random_subgraph(rng, m)
+        m = random_growth_map(rng, rng.choice([6, 8, 12, 16, 24]))
+        sub = random_subgraph(rng, m)
         erased = [a for a in m.arcs if a not in sub]
         rng.shuffle(erased)
         erased_map = m
@@ -581,10 +607,10 @@ def region_tree_cases():
     for n in range(2, 41):
         m = families.block_family(n)
         yield m, frozenset(m.arcs)
-        yield m, families.random_subgraph(rng, m)
+        yield m, random_subgraph(rng, m)
     for _ in range(200):
-        m = families.random_growth_map(rng, rng.choice([4, 6, 8, 12, 16, 24]))
-        yield m, families.random_subgraph(rng, m)
+        m = random_growth_map(rng, rng.choice([4, 6, 8, 12, 16, 24]))
+        yield m, random_subgraph(rng, m)
 
 
 def test_region_tree_counts_match_breadth_first_walks():

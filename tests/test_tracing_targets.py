@@ -41,9 +41,10 @@ def test_prune_imports_classify_arcs():
 
 def test_tracing_hooks_read_every_size(tracing, tmp_path, capsys):
     from hyperbasis import cli, families
+    from mapfactory import map_json
 
     path = tmp_path / "blocks.json"
-    path.write_text(families.block_family(3).to_json())
+    path.write_text(map_json(families.block_family(3)))
     tracer = tracing.Tracer()
     tracer.install()
     try:
