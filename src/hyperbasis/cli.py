@@ -92,7 +92,7 @@ def cmd_simulate(args) -> int:
     model = _load_model(args.model, args.genus)
     log = growth.simulate(model)
     growth.verify_radius_bounds(log)
-    _write(args.out, jsonio.dumps_pretty(growth.log_to_dict(log)))
+    _write(args.out, jsonio.dumps_pretty(vars(log)))
     return EXIT_OK
 
 
@@ -173,27 +173,26 @@ def cmd_pipeline(args) -> int:
     kap = bounds.kappa(g)
     chain = []
     chain_ok = True
-    events_by_m = {ev.m: ev for ev in log.events}
     for k, m in enumerate(sorted(result.kept), start=1):
         if k > kap:
             break
-        ev = events_by_m[m]
+        ev = log.events[m - 1]
         j_limit = 2 * g + 2 - kap + k
-        alpha = bounds.alpha_length_bound(g, ev.j_before)
+        alpha = bounds.alpha_length_bound(g, ev["j_before"])
         theorem = bounds.theorem_bound(g, k)
         ok = (
-            ev.j_before <= j_limit
+            ev["j_before"] <= j_limit
             and alpha <= theorem + 1e-9
-            and 4.0 * ev.r <= theorem + 1e-9
+            and 4.0 * ev["r"] <= theorem + 1e-9
         )
         chain_ok = chain_ok and ok
         chain.append(
             {
                 "k": k,
                 "event": m,
-                "j": ev.j_before,
+                "j": ev["j_before"],
                 "j_limit": j_limit,
-                "four_r": 4.0 * ev.r,
+                "four_r": 4.0 * ev["r"],
                 "alpha_bound": alpha,
                 "theorem_bound": theorem,
                 "ok": ok,
@@ -207,8 +206,8 @@ def cmd_pipeline(args) -> int:
             "M": log.M,
             "sum_k": log.consumed_total(),
             "j_final": log.j_final(),
-            "events": growth.log_to_dict(log)["events"],
-            "max_radius": max(ev.r for ev in log.events),
+            "events": log.events,
+            "max_radius": max(ev["r"] for ev in log.events),
             "min_bound_slack": min(r["slack"] for r in radius_report),
         },
         "components": kinds,

@@ -440,15 +440,16 @@ def z2_cycle_rank(cov: CoverComplex, cycles) -> int:
     """Rank over GF(2) of the given edge sets in first homology.
 
     Each cycle is an iterable of cover-edge ids and must have vanishing
-    boundary; the rank is computed modulo the face boundary space, whose
-    rows are eliminated once before the cycles are reduced against them.
+    boundary; an unknown id raises, naming the smallest.  The rank is
+    computed modulo the face boundary space, whose rows are eliminated
+    once before the cycles are reduced against them.
     """
     masks = []
     for cyc in cycles:
         edge_set = set(int(e) for e in cyc)
         bound = 0
         mask = 0
-        for ce in edge_set:
+        for ce in sorted(edge_set):
             if not 0 <= ce < cov.n_edges:
                 raise InputError(f"unknown cover edge {ce}")
             a, b = cov.edge_endpoints(ce)

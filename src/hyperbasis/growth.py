@@ -12,6 +12,12 @@ Simultaneous candidates (within 1e-9 relative) are ordered pair-before-
 self, then lexicographically by endpoint pair, which makes every run
 reproducible bit for bit.
 
+Each event is a report row: a dict with keys ``m`` (its 1-based index),
+``kind``, ``i``, ``j`` (``None`` for a self touch), ``other_frozen``,
+``r``, ``k`` (disks it consumes) and ``j_before`` (disks consumed
+before it).  ``GrowthLog`` holds ``genus``, ``model`` and ``events``,
+and the ``simulate`` command writes exactly these fields.
+
 ``simulate`` reads the metric model once per vertex (its loop radius)
 and once per unordered pair (their distance) before the first event; a
 non-finite value raises ``InvalidMetric``.  Each event still rescans
@@ -21,62 +27,40 @@ every candidate, so a run with n cone points costs O(n^3) table reads.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 from . import bounds
 from .errors import BoundViolation, InputError, InvalidMetric
 
-__all__ = [
-    "GrowthEvent",
-    "GrowthLog",
-    "simulate",
-    "verify_radius_bounds",
-    "arc_graph",
-    "log_to_dict",
-]
+__all__ = ["GrowthLog", "simulate", "verify_radius_bounds", "arc_graph"]
 
 _TIE_REL = 1e-9
 _RADIUS_TOL = 1e-9
-
-
-@dataclass(frozen=True)
-class GrowthEvent:
-    m: int
-    kind: str                 # "pair" | "self"
-    i: int
-    j: int | None
-    other_frozen: bool
-    r: float
-    k: int
-    j_before: int
 
 
 @dataclass
 class GrowthLog:
     genus: int
     model: str
-    events: list[GrowthEvent]
-
-    @property
-    def n_points(self) -> int:
-        return 2 * self.genus + 2
+    events: list[dict]
 
     @property
     def M(self) -> int:
         return len(self.events)
 
     def consumed_total(self) -> int:
-        return sum(ev.k for ev in self.events)
+        return sum(ev["k"] for ev in self.events)
 
     def j_final(self) -> int:
-        return sum(ev.k for ev in self.events[:-1])
+        return sum(ev["k"] for ev in self.events[:-1])
 
     def validate(self, partial: bool = False) -> None:
         """Structural bookkeeping; radius bounds are checked separately.
 
         ``partial`` skips the termination arithmetic, for prefixes of a run.
         """
-        g, n = self.genus, self.n_points
+        g = self.genus
+        n = 2 * g + 2
         if not g >= 2:
             raise InputError(f"genus must be >= 2, got {g}")
         if not partial:
@@ -91,39 +75,38 @@ class GrowthLog:
         frozen: set[int] = set()
         j = 0
         r_prev = 0.0
-        if partial and not self.events:
-            return
         for idx, ev in enumerate(self.events, start=1):
-            if ev.m != idx:
-                raise InputError(f"event {idx} misnumbered as {ev.m}")
-            if ev.j_before != j:
-                raise InputError(f"event {idx} has j_before {ev.j_before} != {j}")
-            if ev.r < r_prev - _RADIUS_TOL:
+            kind, i, w, k, r = ev["kind"], ev["i"], ev["j"], ev["k"], ev["r"]
+            if ev["m"] != idx:
+                raise InputError(f"event {idx} misnumbered as {ev['m']}")
+            if ev["j_before"] != j:
+                raise InputError(f"event {idx} has j_before {ev['j_before']} != {j}")
+            if r < r_prev - _RADIUS_TOL:
                 raise InputError(f"event {idx} radius decreases")
             newly: tuple[int, ...]
-            if ev.kind == "self":
-                if ev.k != 1 or ev.j is not None or ev.other_frozen:
+            if kind == "self":
+                if k != 1 or w is not None or ev["other_frozen"]:
                     raise InputError(f"self event {idx} malformed")
-                newly = (ev.i,)
-            elif ev.kind == "pair":
-                if ev.j is None or ev.i == ev.j:
+                newly = (i,)
+            elif kind == "pair":
+                if w is None or i == w:
                     raise InputError(f"pair event {idx} malformed")
-                if ev.other_frozen:
-                    if ev.k != 1 or ev.j not in frozen:
+                if ev["other_frozen"]:
+                    if k != 1 or w not in frozen:
                         raise InputError(f"pair event {idx} malformed")
-                    newly = (ev.i,)
+                    newly = (i,)
                 else:
-                    if ev.k != 2 or ev.j in frozen:
+                    if k != 2 or w in frozen:
                         raise InputError(f"pair event {idx} malformed")
-                    newly = (ev.i, ev.j)
+                    newly = (i, w)
             else:
-                raise InputError(f"unknown event kind {ev.kind!r}")
+                raise InputError(f"unknown event kind {kind!r}")
             for v in newly:
                 if v in frozen or not 1 <= v <= n:
                     raise InputError(f"event {idx} refreezes vertex {v}")
                 frozen.add(v)
-            j += ev.k
-            r_prev = max(r_prev, ev.r)
+            j += k
+            r_prev = max(r_prev, r)
         if not partial and len(frozen) != n:
             raise InputError("some vertices never froze")
 
@@ -148,7 +131,7 @@ def simulate(model) -> GrowthLog:
             dist[i][w] = dist[w][i] = d
     active = set(vertices)
     frozen_radius: dict[int, float] = {}
-    events: list[GrowthEvent] = []
+    events: list[dict] = []
     j = 0
     r_prev = 0.0
 
@@ -197,18 +180,7 @@ def simulate(model) -> GrowthLog:
             )
         if r <= 0:
             raise InvalidMetric(f"nonpositive event radius {r}")
-        events.append(
-            GrowthEvent(
-                m=len(events) + 1,
-                kind=ev["kind"],
-                i=ev["i"],
-                j=ev["j"],
-                other_frozen=ev["other_frozen"],
-                r=r,
-                k=ev["k"],
-                j_before=j,
-            )
-        )
+        events.append(ev | {"m": len(events) + 1, "r": r, "j_before": j})
         newly = (ev["i"],) if ev["k"] == 1 else (ev["i"], ev["j"])
         for v in newly:
             active.remove(v)
@@ -226,12 +198,11 @@ def verify_radius_bounds(log: GrowthLog) -> list[dict]:
     per-step slack, raises BoundViolation on the first offending step."""
     report = []
     for ev in log.events:
-        limit = bounds.radius_bound(log.genus, ev.j_before)
-        if ev.r > limit + _RADIUS_TOL:
-            raise BoundViolation(ev.m, ev.r, limit)
-        report.append(
-            {"m": ev.m, "r": ev.r, "bound": limit, "slack": limit - ev.r}
-        )
+        m, r = ev["m"], ev["r"]
+        limit = bounds.radius_bound(log.genus, ev["j_before"])
+        if r > limit + _RADIUS_TOL:
+            raise BoundViolation(m, r, limit)
+        report.append({"m": m, "r": r, "bound": limit, "slack": limit - r})
     return report
 
 
@@ -241,15 +212,3 @@ def arc_graph(log: GrowthLog, model):
     vertices come out isolated."""
     log.validate(partial=True)
     return model.build_arc_graph(log)
-
-
-# -- serialization ------------------------------------------------------
-
-
-def log_to_dict(log: GrowthLog) -> dict:
-    return {
-        "genus": log.genus,
-        "model": log.model,
-        "events": [asdict(ev) for ev in log.events],
-    }
-

@@ -119,15 +119,16 @@ class MetricModel:
         arc id; every arc has an endpoint that is still bare."""
         builder = MapBuilder(range(1, self.n_points + 1))
         for ev in log.events:
+            m = ev["m"]
             emb = self.realize_arc(ev)
             if emb.kind == "loop":
-                builder.add_loop(ev.m, emb.i, set(emb.enclosed))
+                builder.add_loop(m, emb.i, set(emb.enclosed))
                 continue
             i, j = emb.i, emb.j
             i_bare = not builder.rotations[i]
             j_bare = not builder.rotations[j]
             if i_bare and j_bare:
-                builder.add_bone(ev.m, i, j)
+                builder.add_bone(m, i, j)
             elif i_bare or j_bare:
                 fresh, host = (i, j) if i_bare else (j, i)
                 corners = builder.corners_on_region(
@@ -137,10 +138,10 @@ class MetricModel:
                     raise EmbeddingError(
                         f"vertex {host} has no corner on the region of {fresh}"
                     )
-                builder.attach_edge(ev.m, fresh, host, corners[emb.at % len(corners)])
+                builder.attach_edge(m, fresh, host, corners[emb.at % len(corners)])
             else:
                 raise EmbeddingError(
-                    f"event {ev.m} joins two occupied vertices; not a growth arc"
+                    f"event {m} joins two occupied vertices; not a growth arc"
                 )
         return builder.finalize()
 
@@ -202,13 +203,13 @@ class RegularDoubledPolygonModel(MetricModel):
         )
 
     def realize_arc(self, event) -> ArcEmbedding:
-        if event.kind != "pair":
+        if event["kind"] != "pair":
             raise EmbeddingError(
                 "the regular model only realizes boundary-side arcs; "
-                f"cannot place a {event.kind} event"
+                f"cannot place a {event['kind']} event"
             )
         n = self.n_points
-        i, j = sorted((event.i, event.j))
+        i, j = sorted((event["i"], event["j"]))
         if not (j - i == 1 or (i == 1 and j == n)):
             raise EmbeddingError(
                 f"arc {i}-{j} is not a polygon side; the growth process on "
@@ -305,20 +306,18 @@ class SyntheticModel(MetricModel):
         return self.loop_radii[i - 1]
 
     def realize_arc(self, event) -> ArcEmbedding:
-        want_kind = "loop" if event.kind == "self" else "edge"
+        kind, i, j = event["kind"], event["i"], event["j"]
+        want_kind = "loop" if kind == "self" else "edge"
         for idx, emb in enumerate(self.arc_table):
             if idx in self._used or emb.kind != want_kind:
                 continue
-            if want_kind == "loop" and emb.i == event.i:
+            if want_kind == "loop" and emb.i == i:
                 self._used.add(idx)
                 return emb
-            if want_kind == "edge" and {emb.i, emb.j} == {event.i, event.j}:
+            if want_kind == "edge" and {emb.i, emb.j} == {i, j}:
                 self._used.add(idx)
                 return emb
-        raise EmbeddingError(
-            f"no unused arc descriptor for event {event.kind} "
-            f"({event.i}, {event.j})"
-        )
+        raise EmbeddingError(f"no unused arc descriptor for event {kind} ({i}, {j})")
 
     def build_arc_graph(self, log) -> SphereMap:
         self._used = set()

@@ -48,7 +48,7 @@ def test_criterion_2_growth_soundness():
         model = hypmodel.regular_model(g)
         log = growth.simulate(model)
         for ev in log.events:
-            assert ev.r <= bounds.radius_bound(g, ev.j_before) + 1e-9
+            assert ev["r"] <= bounds.radius_bound(g, ev["j_before"]) + 1e-9
         assert log.consumed_total() == 2 * g + 2
         assert g + 1 <= log.M <= 2 * g + 2
         assert log.j_final() in (2 * g, 2 * g + 1)
@@ -147,11 +147,11 @@ def test_criterion_7_theorem_chain():
     for g, (_, log, _) in _state["pipelines"].items():
         res = _state["pruned"][g]
         kap = bounds.kappa(g)
-        events = {ev.m: ev for ev in log.events}
+        events = {ev["m"]: ev for ev in log.events}
         for k, m in enumerate(sorted(res.kept), start=1):
             if k > kap:
                 break
-            j = events[m].j_before
+            j = events[m]["j_before"]
             assert j <= 2 * g + 2 - kap + k
             assert bounds.alpha_length_bound(g, j) <= bounds.theorem_bound(g, k) + 1e-9
     elapsed = time.perf_counter() - t0

@@ -165,6 +165,25 @@ def test_prune_report_keys(tmp_path, capsys):
     assert set(section) == {"blocks", "deleted", "kappa", "kept", "trace"}
 
 
+def test_growth_report_keys(tmp_path, capsys):
+    event_keys = {"m", "kind", "i", "j", "other_frozen", "r", "k", "j_before"}
+    out = tmp_path / "growth.json"
+    assert run(["simulate", "--genus", "2", "--out", str(out)], capsys)[0] == 0
+    data = json.loads(out.read_text())
+    assert set(data) == {"events", "genus", "model"}
+    assert data["events"]
+    for ev in data["events"]:
+        assert set(ev) == event_keys
+    assert run(["pipeline", "--genus", "2", "--out", str(out)], capsys)[0] == 0
+    section = json.loads(out.read_text())["growth"]
+    assert set(section) == {
+        "M", "events", "j_final", "max_radius", "min_bound_slack", "sum_k",
+    }
+    assert section["events"]
+    for ev in section["events"]:
+        assert set(ev) == event_keys
+
+
 def test_verify_exit_codes(tmp_path, capsys):
     three = tmp_path / "three.json"
     three.write_text(map_json(bones([(1, 2), (3, 4), (5, 6)], 6)))

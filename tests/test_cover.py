@@ -119,6 +119,14 @@ def test_z2_rank_rejects_non_cycle():
         cover.z2_cycle_rank(cov, [{ce0}])    # half a bigon has boundary
 
 
+def test_z2_rank_names_the_smallest_unknown_edge():
+    cov = cover.build_cover(families.block_family(2), [1, 3])
+    assert cov.n_edges == 18
+    for cycle in ([33, 40], [40, 33]):
+        with pytest.raises(InputError, match="unknown cover edge 33$"):
+            cover.z2_cycle_rank(cov, [cycle])
+
+
 def test_winding_parities():
     cov = cover.build_cover(polygon_cycle(6), [])
     circle = coverqueries.vertex_circle(cov, 1)

@@ -1,4 +1,4 @@
-import dataclasses
+import json
 import math
 
 import pytest
@@ -22,18 +22,21 @@ def test_regular_g2_golden_sequence():
         ("pair", 5, 4, True, 1),
     ]
     for ev, (kind, i, j, frozen, k) in zip(log.events, expected):
-        assert (ev.kind, ev.i, ev.j, ev.other_frozen, ev.k) == (kind, i, j, frozen, k)
-        assert ev.r == pytest.approx(half_side, abs=1e-12)
-        assert ev.r == pytest.approx(0.6584789, abs=1e-7)
+        assert (ev["kind"], ev["i"], ev["j"], ev["other_frozen"], ev["k"]) == (
+            kind, i, j, frozen, k
+        )
+        assert ev["r"] == pytest.approx(half_side, abs=1e-12)
+        assert ev["r"] == pytest.approx(0.6584789, abs=1e-7)
     assert log.consumed_total() == 6
     assert log.j_final() == 5
-    assert [ev.j_before for ev in log.events] == [0, 2, 3, 4, 5]
+    assert [ev["j_before"] for ev in log.events] == [0, 2, 3, 4, 5]
+    assert [ev["m"] for ev in log.events] == [1, 2, 3, 4, 5]
 
 
 def test_first_radius_below_acosh2():
     for g in range(2, 13):
         log = growth.simulate(hypmodel.regular_model(g))
-        assert log.events[0].r < math.acosh(2.0)
+        assert log.events[0]["r"] < math.acosh(2.0)
 
 
 @pytest.mark.parametrize("g", range(2, 13))
@@ -42,7 +45,7 @@ def test_regular_soundness(g):
     assert g + 1 <= log.M <= 2 * g + 2
     assert log.consumed_total() == 2 * g + 2
     assert log.j_final() in (2 * g, 2 * g + 1)
-    radii = [ev.r for ev in log.events]
+    radii = [ev["r"] for ev in log.events]
     assert all(a <= b + 1e-12 for a, b in zip(radii, radii[1:]))
     report = growth.verify_radius_bounds(log)
     assert all(row["slack"] >= -1e-9 for row in report)
@@ -52,8 +55,8 @@ def test_determinism_byte_identical():
     from hyperbasis import jsonio
 
     m = hypmodel.regular_model(5)
-    a = jsonio.dumps(growth.log_to_dict(growth.simulate(m)))
-    b = jsonio.dumps(growth.log_to_dict(growth.simulate(hypmodel.regular_model(5))))
+    a = jsonio.dumps(vars(growth.simulate(m)))
+    b = jsonio.dumps(vars(growth.simulate(hypmodel.regular_model(5))))
     assert a == b
 
 
@@ -62,11 +65,11 @@ def test_tampered_log_violates_bound():
     bad = growth.GrowthLog(
         genus=2,
         model="tampered",
-        events=[growth.GrowthEvent(1, "pair", 1, 2, False, 10.0, 2, 0)]
-        + [
-            growth.GrowthEvent(ev.m, ev.kind, ev.i, ev.j, ev.other_frozen, 10.0, ev.k, ev.j_before)
-            for ev in log.events[1:]
-        ],
+        events=[
+            {"m": 1, "kind": "pair", "i": 1, "j": 2, "other_frozen": False,
+             "r": 10.0, "k": 2, "j_before": 0}
+        ]
+        + [ev | {"r": 10.0} for ev in log.events[1:]],
     )
     with pytest.raises(BoundViolation) as exc:
         growth.verify_radius_bounds(bad)
@@ -97,7 +100,7 @@ def test_synthetic_forced_self_touch():
     m = forced_selftouch_model()
     log = growth.simulate(m)
     first = log.events[0]
-    assert (first.kind, first.i, first.k, first.r) == ("self", 1, 1, 0.3)
+    assert (first["kind"], first["i"], first["k"], first["r"]) == ("self", 1, 1, 0.3)
     assert log.M == 6 and log.consumed_total() == 6
 
 
@@ -125,7 +128,7 @@ def fig4_style_model():
 def test_fig4_style_synthetic_log():
     m = fig4_style_model()
     log = growth.simulate(m)
-    assert [(ev.kind, ev.i) for ev in log.events] == [
+    assert [(ev["kind"], ev["i"]) for ev in log.events] == [
         ("pair", 2),
         ("pair", 5),
         ("self", 1),
@@ -154,19 +157,39 @@ def test_arc_graph_regular_path():
 def test_log_roundtrip_and_validation():
     m = hypmodel.regular_model(3)
     log = growth.simulate(m)
-    data = growth.log_to_dict(log)
-    back = growth.GrowthLog(
-        genus=data["genus"],
-        model=data["model"],
-        events=[growth.GrowthEvent(**ev) for ev in data["events"]],
-    )
+    back = growth.GrowthLog(**json.loads(json.dumps(vars(log))))
     assert back == log
     back.validate()
     with pytest.raises(InputError):
         growth.GrowthLog(genus=3, model="?", events=[]).validate()
-    mangled = dataclasses.replace(log.events[0], k=1)
+    mangled = log.events[0] | {"k": 1}
     with pytest.raises(InputError):
         growth.GrowthLog(log.genus, log.model, [mangled] + log.events[1:]).validate()
+
+
+def test_partial_validate_accepts_an_empty_log():
+    growth.GrowthLog(genus=2, model="?", events=[]).validate(partial=True)
+    with pytest.raises(InputError, match="genus must be >= 2, got 1"):
+        growth.GrowthLog(genus=1, model="?", events=[]).validate(partial=True)
+
+
+def test_partial_validate_checks_a_prefix():
+    log = growth.simulate(hypmodel.regular_model(3))
+    prefix = growth.GrowthLog(log.genus, log.model, log.events[:2])
+    prefix.validate(partial=True)
+    with pytest.raises(InputError, match="M = 2 outside"):
+        prefix.validate()
+    misnumbered = log.events[1] | {"m": 3}
+    with pytest.raises(InputError, match="event 2 misnumbered as 3"):
+        growth.GrowthLog(log.genus, log.model, [log.events[0], misnumbered]).validate(
+            partial=True
+        )
+    # vertex 2 froze in event 1; event 2 reaches frozen vertex 1 from it
+    refreezing = log.events[1] | {"i": 2}
+    with pytest.raises(InputError, match="event 2 refreezes vertex 2"):
+        growth.GrowthLog(log.genus, log.model, [log.events[0], refreezing]).validate(
+            partial=True
+        )
 
 
 def test_missing_arc_descriptor():
@@ -181,7 +204,7 @@ def test_every_event_has_bound():
     for g in (2, 4, 8):
         log = growth.simulate(hypmodel.regular_model(g))
         for ev in log.events:
-            assert ev.r <= bounds.radius_bound(g, ev.j_before) + 1e-9
+            assert ev["r"] <= bounds.radius_bound(g, ev["j_before"]) + 1e-9
 
 
 def test_partial_log_single_self_touch():
@@ -189,7 +212,10 @@ def test_partial_log_single_self_touch():
     partial = growth.GrowthLog(
         genus=2,
         model=m.name,
-        events=[growth.GrowthEvent(1, "self", 1, None, False, 0.3, 1, 0)],
+        events=[
+            {"m": 1, "kind": "self", "i": 1, "j": None, "other_frozen": False,
+             "r": 0.3, "k": 1, "j_before": 0}
+        ],
     )
     graph = growth.arc_graph(partial, m)
     kinds = classify_components(graph)
@@ -211,7 +237,7 @@ def boundary_cycle_arc_graph(model, log):
         emb = model.realize_arc(ev)
         side = emb.i if emb.j - emb.i == 1 else n
         assert side not in side_event
-        side_event[side] = ev.m
+        side_event[side] = ev["m"]
     sub = master.without_arcs(set(master.arcs) - set(side_event))
     arcs = {
         side_event[a.id]: Arc(
@@ -343,16 +369,16 @@ def rescan_simulate(model):
         if r <= 0:
             raise InvalidMetric(f"nonpositive event radius {r}")
         events.append(
-            growth.GrowthEvent(
-                m=len(events) + 1,
-                kind=ev["kind"],
-                i=ev["i"],
-                j=ev["j"],
-                other_frozen=ev["other_frozen"],
-                r=r,
-                k=ev["k"],
-                j_before=j,
-            )
+            {
+                "m": len(events) + 1,
+                "kind": ev["kind"],
+                "i": ev["i"],
+                "j": ev["j"],
+                "other_frozen": ev["other_frozen"],
+                "r": r,
+                "k": ev["k"],
+                "j_before": j,
+            }
         )
         newly = (ev["i"],) if ev["k"] == 1 else (ev["i"], ev["j"])
         for v in newly:
@@ -393,15 +419,12 @@ class OracleModel:
 
 
 def outcome(run, model):
-    """Event fields with radii as exact hex strings, or the raised error."""
+    """Event rows with radii as exact hex strings, or the raised error."""
     try:
         log = run(model)
     except (InvalidMetric, InputError) as e:
         return (type(e).__name__, str(e))
-    return [
-        (ev.m, ev.kind, ev.i, ev.j, ev.other_frozen, ev.r.hex(), ev.k, ev.j_before)
-        for ev in log.events
-    ]
+    return [ev | {"r": ev["r"].hex()} for ev in log.events]
 
 
 def synthetic(distances, loop_radii, genus=2):
@@ -461,13 +484,16 @@ def test_simulate_matches_rescan_on_ties(name):
 
 def test_tie_models_exercise_the_tie_rule():
     def pairs(name):
-        return [(ev.i, ev.j, ev.other_frozen) for ev in growth.simulate(TIE_MODELS[name]).events]
+        return [
+            (ev["i"], ev["j"], ev["other_frozen"])
+            for ev in growth.simulate(TIE_MODELS[name]).events
+        ]
 
     assert pairs("pair-before-self")[0] == (1, 2, False)
     assert pairs("equal-pairs") == [(1, 2, False)] + [(v, 1, True) for v in range(3, 7)]
     assert pairs("frozen-vs-active")[:3] == [(5, 6, False), (1, 2, False), (3, 5, True)]
     near = growth.simulate(TIE_MODELS["near-tie"]).events[0]
-    assert (near.i, near.j, near.r) == (1, 2, 1.0 + 5e-10)
+    assert (near["i"], near["j"], near["r"]) == (1, 2, 1.0 + 5e-10)
 
 
 def test_simulate_matches_rescan_on_quantised_tables():
