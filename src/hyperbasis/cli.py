@@ -38,7 +38,12 @@ def _load_model(name: str, genus: int | None):
         if genus is None:
             raise InputError("--genus is required with the regular model")
         return hypmodel.regular_model(genus)
-    return hypmodel.load_synthetic(name)
+    model = hypmodel.load_synthetic(name)
+    if genus is not None and genus != model.genus:
+        raise InputError(
+            f"--genus {genus} differs from the model file's genus {model.genus}"
+        )
+    return model
 
 
 def _write(path: str | None, text: str) -> None:

@@ -279,7 +279,6 @@ class CoverComplex:
     def __init__(self, master: MasterComplex):
         self.master = master
         self.n_cone = master.smap.n_cone
-        self.genus = master.smap.genus
         self.darts = darts = sorted(master.dart_vertex)
         self.dart_index = index = {d: i for i, d in enumerate(darts)}
         cut = {d for e in master.branch_cuts for d in master.edges[e].darts}

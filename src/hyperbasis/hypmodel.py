@@ -8,10 +8,14 @@ form <x,y> = x0*y0 + x1*y1 - x2*y2; distances between cone points and
 from cone points to boundary edges are all that is ever needed.
 
 A synthetic model loads an explicit distance matrix, loop radii, and an
-arc placement table from JSON.  Its data is validated for finiteness,
-symmetry and positivity only; whether it is realizable by an actual cone
-metric is not certified, and geometric impossibilities surface
-downstream as typed errors.
+arc placement table from a JSON file.  Its data is validated for
+finiteness, symmetry and positivity only; whether it is realizable by an
+actual cone metric is not certified, and geometric impossibilities
+surface downstream as typed errors.  The placement table is indexed once
+by kind and endpoints (a loop by its base, an edge by its unordered
+ends): the first descriptor with an event's key places its arc, and
+later duplicates are never read.  A loaded model is read-only, so one
+model embeds any number of logs.
 
 Both models embed a growth log the same way: ``realize_arc`` gives each
 event's placement (an edge, or a loop with the cone points it encloses)
@@ -122,7 +126,7 @@ class MetricModel:
             m = ev["m"]
             emb = self.realize_arc(ev)
             if emb.kind == "loop":
-                builder.add_loop(m, emb.i, set(emb.enclosed))
+                builder.add_loop(m, emb.i, emb.enclosed)
                 continue
             i, j = emb.i, emb.j
             i_bare = not builder.rotations[i]
@@ -260,10 +264,12 @@ class SyntheticModel(MetricModel):
         entries = data.get("arcs", [])
         if not isinstance(entries, list):
             raise InputError("arcs must be a list")
-        self.arc_table = [
-            self._arc_entry(idx, entry) for idx, entry in enumerate(entries)
-        ]
-        self._used: set[int] = set()
+        # keyed (i,) for a loop, (min, max) for an edge; the first entry wins
+        self.placements: dict[tuple[int, ...], ArcEmbedding] = {}
+        for idx, entry in enumerate(entries):
+            emb = self._arc_entry(idx, entry)
+            key = (emb.i,) if emb.kind == "loop" else (min(emb.i, emb.j), max(emb.i, emb.j))
+            self.placements.setdefault(key, emb)
 
     def _arc_entry(self, idx: int, entry) -> ArcEmbedding:
         """Validated placement descriptor of ``arcs[idx]``."""
@@ -307,21 +313,11 @@ class SyntheticModel(MetricModel):
 
     def realize_arc(self, event) -> ArcEmbedding:
         kind, i, j = event["kind"], event["i"], event["j"]
-        want_kind = "loop" if kind == "self" else "edge"
-        for idx, emb in enumerate(self.arc_table):
-            if idx in self._used or emb.kind != want_kind:
-                continue
-            if want_kind == "loop" and emb.i == i:
-                self._used.add(idx)
-                return emb
-            if want_kind == "edge" and {emb.i, emb.j} == {i, j}:
-                self._used.add(idx)
-                return emb
-        raise EmbeddingError(f"no unused arc descriptor for event {kind} ({i}, {j})")
-
-    def build_arc_graph(self, log) -> SphereMap:
-        self._used = set()
-        return super().build_arc_graph(log)
+        key = (i,) if kind == "self" else (min(i, j), max(i, j))
+        emb = self.placements.get(key)
+        if emb is None:
+            raise EmbeddingError(f"no arc descriptor for event {kind} ({i}, {j})")
+        return emb
 
 
 def _finite_floats(values, field: str) -> list[float]:
@@ -335,15 +331,13 @@ def _finite_floats(values, field: str) -> list[float]:
     return [float(x) for x in values]
 
 
-def load_synthetic(source, name: str | None = None) -> SyntheticModel:
-    """Load a synthetic model from a dict or a JSON file path."""
-    if isinstance(source, dict):
-        return SyntheticModel(source, name or "synthetic")
+def load_synthetic(path) -> SyntheticModel:
+    """Load a synthetic model from a JSON file."""
     try:
-        with open(source, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
     except OSError as e:
         raise InputError(f"cannot read model file: {e}") from e
     except (ValueError, RecursionError) as e:   # also too deep, or an over-long int
         raise InputError(f"bad model JSON: {e}") from e
-    return SyntheticModel(data, name or str(source))
+    return SyntheticModel(data, str(path))

@@ -206,7 +206,8 @@ def test_verify_malformed_map(tmp_path, capsys):
     assert code == 2
 
 
-def test_synthetic_model_through_cli(tmp_path, capsys):
+def fig4_model_path(tmp_path):
+    """A synthetic genus-2 model file: two bones, then a loop around each."""
     n = 6
     dist = [[0.0 if a == b else 2.0 for b in range(n)] for a in range(n)]
     dist[1][2] = dist[2][1] = 0.4
@@ -224,12 +225,28 @@ def test_synthetic_model_through_cli(tmp_path, capsys):
     }
     path = tmp_path / "model.json"
     path.write_text(json.dumps(model))
+    return path
+
+
+def test_synthetic_model_through_cli(tmp_path, capsys):
+    path = fig4_model_path(tmp_path)
     out = tmp_path / "rep.json"
     code, _, _ = run(["pipeline", "--model", str(path), "--out", str(out)], capsys)
     assert code == 0
     report = json.loads(out.read_text())
     assert report["verification"]["partial_basis"] is True
     assert report["verification"]["arcs_kept"] == 2
+
+
+@pytest.mark.parametrize("command", ["simulate", "pipeline"])
+def test_model_file_genus_must_match(command, tmp_path, capsys):
+    argv = [command, "--model", str(fig4_model_path(tmp_path))]
+    code, report, _ = run(argv, capsys)
+    assert code == 0
+    assert run(argv + ["--genus", "2"], capsys)[:2] == (0, report)
+    code, out, err = run(argv + ["--genus", "3"], capsys)
+    assert (code, out) == (2, "")
+    assert "--genus 3 differs from the model file's genus 2" in err
 
 
 def test_pipeline_nongeometric_model_exits_3(tmp_path, capsys):

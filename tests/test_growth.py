@@ -1,12 +1,25 @@
+import copy
+import importlib
 import json
 import math
+import random
+import sys
+from pathlib import Path
 
 import pytest
 
 from hyperbasis import bounds, growth, hypmodel, prune
-from hyperbasis.errors import BoundViolation, EmbeddingError, InputError, InvalidMetric
+from hyperbasis.errors import (
+    BoundViolation,
+    EmbeddingError,
+    HyperbasisError,
+    InputError,
+    InvalidMetric,
+)
 from hyperbasis.spheremap import Arc, ComponentKind, SphereMap, classify_components
 from mapfactory import euler_summary, polygon_cycle
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
 def test_regular_g2_golden_sequence():
@@ -76,24 +89,26 @@ def test_tampered_log_violates_bound():
     assert exc.value.step == 1
 
 
-def forced_selftouch_model():
+def forced_selftouch_data():
     n = 6
     dist = [[0.0 if a == b else 2.0 for b in range(n)] for a in range(n)]
-    return hypmodel.load_synthetic(
-        {
-            "genus": 2,
-            "distances": dist,
-            "loop_radii": [0.3, 0.35, 0.4, 0.45, 0.5, 0.55],
-            "arcs": [
-                {"kind": "loop", "i": 1, "enclosed": []},
-                {"kind": "loop", "i": 2, "enclosed": [1]},
-                {"kind": "loop", "i": 3, "enclosed": []},
-                {"kind": "loop", "i": 4, "enclosed": []},
-                {"kind": "loop", "i": 5, "enclosed": []},
-                {"kind": "loop", "i": 6, "enclosed": []},
-            ],
-        }
-    )
+    return {
+        "genus": 2,
+        "distances": dist,
+        "loop_radii": [0.3, 0.35, 0.4, 0.45, 0.5, 0.55],
+        "arcs": [
+            {"kind": "loop", "i": 1, "enclosed": []},
+            {"kind": "loop", "i": 2, "enclosed": [1]},
+            {"kind": "loop", "i": 3, "enclosed": []},
+            {"kind": "loop", "i": 4, "enclosed": []},
+            {"kind": "loop", "i": 5, "enclosed": []},
+            {"kind": "loop", "i": 6, "enclosed": []},
+        ],
+    }
+
+
+def forced_selftouch_model():
+    return hypmodel.SyntheticModel(forced_selftouch_data())
 
 
 def test_synthetic_forced_self_touch():
@@ -104,25 +119,27 @@ def test_synthetic_forced_self_touch():
     assert log.M == 6 and log.consumed_total() == 6
 
 
-def fig4_style_model():
+def fig4_style_data():
     """Two quick bones, then loops around them: the block picture."""
     n = 6
     dist = [[0.0 if a == b else 2.0 for b in range(n)] for a in range(n)]
     dist[1][2] = dist[2][1] = 0.4
     dist[4][5] = dist[5][4] = 0.4
-    return hypmodel.load_synthetic(
-        {
-            "genus": 2,
-            "distances": dist,
-            "loop_radii": [0.5, 10.0, 10.0, 0.55, 10.0, 10.0],
-            "arcs": [
-                {"kind": "edge", "i": 2, "j": 3},
-                {"kind": "edge", "i": 5, "j": 6},
-                {"kind": "loop", "i": 1, "enclosed": [2, 3]},
-                {"kind": "loop", "i": 4, "enclosed": [5, 6]},
-            ],
-        }
-    )
+    return {
+        "genus": 2,
+        "distances": dist,
+        "loop_radii": [0.5, 10.0, 10.0, 0.55, 10.0, 10.0],
+        "arcs": [
+            {"kind": "edge", "i": 2, "j": 3},
+            {"kind": "edge", "i": 5, "j": 6},
+            {"kind": "loop", "i": 1, "enclosed": [2, 3]},
+            {"kind": "loop", "i": 4, "enclosed": [5, 6]},
+        ],
+    }
+
+
+def fig4_style_model():
+    return hypmodel.SyntheticModel(fig4_style_data())
 
 
 def test_fig4_style_synthetic_log():
@@ -193,8 +210,9 @@ def test_partial_validate_checks_a_prefix():
 
 
 def test_missing_arc_descriptor():
-    m = forced_selftouch_model()
-    m.arc_table = m.arc_table[:1]
+    data = forced_selftouch_data()
+    data["arcs"] = data["arcs"][:1]
+    m = hypmodel.SyntheticModel(data)
     log = growth.simulate(m)
     with pytest.raises(EmbeddingError):
         growth.arc_graph(log, m)
@@ -281,7 +299,7 @@ def test_regular_arc_graph_matches_boundary_cycle(g):
     assert prune.verify(new_result, new) == prune.verify(old_result, old)
 
 
-def attach_path_model():
+def attach_path_data():
     """Two quick bones, then a fresh vertex attached to each."""
     n = 6
     dist = [[0.0 if a == b else 2.0 for b in range(n)] for a in range(n)]
@@ -289,19 +307,21 @@ def attach_path_model():
     dist[3][4] = dist[4][3] = 0.4
     dist[1][2] = dist[2][1] = 0.6
     dist[4][5] = dist[5][4] = 0.6
-    return hypmodel.load_synthetic(
-        {
-            "genus": 2,
-            "distances": dist,
-            "loop_radii": [10.0] * n,
-            "arcs": [
-                {"kind": "edge", "i": 1, "j": 2},
-                {"kind": "edge", "i": 4, "j": 5},
-                {"kind": "edge", "i": 2, "j": 3},
-                {"kind": "edge", "i": 6, "j": 5, "at": 1},
-            ],
-        }
-    )
+    return {
+        "genus": 2,
+        "distances": dist,
+        "loop_radii": [10.0] * n,
+        "arcs": [
+            {"kind": "edge", "i": 1, "j": 2},
+            {"kind": "edge", "i": 4, "j": 5},
+            {"kind": "edge", "i": 2, "j": 3},
+            {"kind": "edge", "i": 6, "j": 5, "at": 1},
+        ],
+    }
+
+
+def attach_path_model():
+    return hypmodel.SyntheticModel(attach_path_data())
 
 
 @pytest.mark.parametrize(
@@ -310,9 +330,87 @@ def attach_path_model():
 def test_synthetic_build_arc_graph_repeats(make):
     m = make()
     log = growth.simulate(m)
-    first = m.build_arc_graph(log)
+    before = copy.deepcopy(vars(m))
+    first = growth.arc_graph(log, m)
+    assert vars(m) == before        # a loaded model is read-only
     assert m.build_arc_graph(log).to_dict() == first.to_dict()
     assert len(first.arcs) == len(log.events)
+    for ev in log.events:
+        assert m.realize_arc(ev) == m.realize_arc(ev)
+
+
+# -- placement lookup against the first-unused table scan ----------------
+
+
+class FirstUnusedModel(hypmodel.SyntheticModel):
+    """Reference: the former placement rule, which scanned the whole arc
+    table for the first descriptor of the event's kind and endpoints not
+    yet used in the current embedding."""
+
+    def __init__(self, data):
+        super().__init__(data)
+        self.table = [
+            self._arc_entry(idx, entry) for idx, entry in enumerate(data.get("arcs", []))
+        ]
+
+    def build_arc_graph(self, log):
+        self.used = set()
+        return super().build_arc_graph(log)
+
+    def realize_arc(self, event):
+        kind, i, j = event["kind"], event["i"], event["j"]
+        want = "loop" if kind == "self" else "edge"
+        for idx, emb in enumerate(self.table):
+            if idx in self.used or emb.kind != want:
+                continue
+            if emb.i == i if want == "loop" else {emb.i, emb.j} == {i, j}:
+                self.used.add(idx)
+                return emb
+        raise EmbeddingError(f"no unused arc descriptor for event {kind} ({i}, {j})")
+
+
+def embedded(model, log):
+    """The arc graph as a dict, or the raised error with the reference's
+    word "unused" dropped from its message."""
+    try:
+        return growth.arc_graph(log, model).to_dict()
+    except HyperbasisError as e:
+        return (type(e).__name__, str(e).replace("no unused ", "no "))
+
+
+def with_duplicates(data):
+    """The table followed by a second, different descriptor per key."""
+    again = [a | {"at": a.get("at", 0) + 1, "enclosed": []} for a in data["arcs"]]
+    return data | {"arcs": data["arcs"] + again}
+
+
+def truncated(data):
+    return data | {"arcs": data["arcs"][:1]}
+
+
+def growth_tables():
+    for make in (forced_selftouch_data, fig4_style_data, attach_path_data):
+        for change in (dict, with_duplicates, truncated):
+            yield change(make())
+
+
+def nested_tables():
+    sys.path.insert(0, str(PERFBENCH))
+    try:
+        gen = importlib.import_module("gen")
+    finally:
+        sys.path.remove(str(PERFBENCH))
+    rng = random.Random(5)
+    for n in range(8, 65, 2):
+        yield gen.nested_arrangement(rng, n)[1]
+
+
+@pytest.mark.parametrize("tables", [growth_tables, nested_tables])
+def test_placement_lookup_matches_first_unused_scan(tables):
+    for data in tables():
+        model, reference = hypmodel.SyntheticModel(data), FirstUnusedModel(data)
+        log = growth.simulate(model)
+        assert embedded(model, log) == embedded(reference, log)
 
 
 # -- differential test against the per-round rescan ---------------------
@@ -428,7 +526,7 @@ def outcome(run, model):
 
 
 def synthetic(distances, loop_radii, genus=2):
-    return hypmodel.load_synthetic(
+    return hypmodel.SyntheticModel(
         {"genus": genus, "distances": distances, "loop_radii": loop_radii}
     )
 

@@ -158,7 +158,7 @@ def synthetic_data():
 
 
 def test_synthetic_passthrough():
-    m = hypmodel.load_synthetic(synthetic_data())
+    m = hypmodel.SyntheticModel(synthetic_data())
     assert m.loop_radius(1) == 0.3
     assert m.pair_distance(2, 5) == 2.0
 
@@ -179,7 +179,7 @@ def test_synthetic_validation(mutate):
     data = synthetic_data()
     mutate(data)
     with pytest.raises(InputError):
-        hypmodel.load_synthetic(data)
+        hypmodel.SyntheticModel(data)
 
 
 def test_load_synthetic_file(tmp_path):
