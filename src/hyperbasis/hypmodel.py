@@ -3,9 +3,8 @@
 The concrete testbed realizes the sphere as the double of a regular
 right-angled (2g+2)-gon: each polygon vertex has angle pi/2, so the
 double has 2g+2 cone points of angle pi, and its area is 2*pi*(g-1).
-Hyperbolic geometry is done in the hyperboloid model with the Minkowski
-form <x,y> = x0*y0 + x1*y1 - x2*y2; distances between cone points and
-from cone points to boundary edges are all that is ever needed.
+Distances between cone points and from cone points to boundary edges
+are all that is ever needed, and each is a closed form in N = 2g+2.
 
 A synthetic model loads an explicit distance matrix, loop radii, and an
 arc placement table from a JSON file.  Its data is validated for
@@ -43,49 +42,6 @@ __all__ = [
     "regular_model",
     "load_synthetic",
 ]
-
-
-# -- hyperboloid helpers ------------------------------------------------
-
-
-def _mdot(a, b) -> float:
-    return a[0] * b[0] + a[1] * b[1] - a[2] * b[2]
-
-
-def _mcross(a, b):
-    """Vector Minkowski-orthogonal to both arguments."""
-    c = (
-        a[1] * b[2] - a[2] * b[1],
-        a[2] * b[0] - a[0] * b[2],
-        a[0] * b[1] - a[1] * b[0],
-    )
-    return (c[0], c[1], -c[2])
-
-
-def _dist(a, b) -> float:
-    return math.acosh(max(1.0, -_mdot(a, b)))
-
-
-def _point_segment_distance(p, u, v) -> float:
-    """Distance from a hyperboloid point to the closed geodesic segment."""
-    n = _mcross(u, v)
-    nn = _mdot(n, n)
-    if nn <= 0:
-        raise InputError("degenerate geodesic segment")
-    t = _mdot(p, n) / nn
-    f = (p[0] - t * n[0], p[1] - t * n[1], p[2] - t * n[2])
-    ff = _mdot(f, f)
-    if ff < 0:
-        f = tuple(x / math.sqrt(-ff) for x in f)
-        # foot = a*u + b*v; inside the segment iff both weights nonnegative
-        c = _mdot(u, v)
-        fu, fv = _mdot(f, u), _mdot(f, v)
-        det = 1.0 - c * c
-        a = -(fu + c * fv) / det
-        b = -(c * fu + fv) / det
-        if a >= -1e-12 and b >= -1e-12:
-            return _dist(p, f)
-    return min(_dist(p, u), _dist(p, v))
 
 
 @dataclass(frozen=True)
@@ -158,11 +114,12 @@ class MetricModel:
 class RegularDoubledPolygonModel(MetricModel):
     """Double of the regular right-angled N-gon, N = 2g+2.
 
-    cosh R = cot(pi/N) for the circumradius and cosh(s/2) = sqrt(2) cos(pi/N)
-    for the side length; both polygon copies are geodesically convex in
-    the double, so distances between cone points are realized inside one
-    copy.  The shortest geodesic loop based at a vertex runs to the
-    nearest non-incident boundary edge and back through the other copy.
+    Every oracle value is a closed form in N: cosh R = cot(pi/N) for the
+    circumradius and cosh(s/2) = sqrt(2) cos(pi/N) for the side length.
+    Both polygon copies are geodesically convex in the double, so the
+    distance between cone points is the chord of the circumcircle, and
+    the shortest geodesic loop based at a vertex runs to the nearest
+    non-incident boundary edge and back through the other copy.
     """
 
     def __init__(self, g: int):
@@ -173,15 +130,6 @@ class RegularDoubledPolygonModel(MetricModel):
         n = self.n_points
         self.circumradius = math.acosh(1.0 / math.tan(math.pi / n))
         self.side = 2.0 * math.acosh(math.sqrt(2.0) * math.cos(math.pi / n))
-        sr, cr = math.sinh(self.circumradius), math.cosh(self.circumradius)
-        self.vertices = [
-            (
-                sr * math.cos(2.0 * math.pi * k / n),
-                sr * math.sin(2.0 * math.pi * k / n),
-                cr,
-            )
-            for k in range(n)
-        ]
 
     def pair_distance(self, i: int, j: int) -> float:
         self._check_vertex(i)
@@ -194,17 +142,11 @@ class RegularDoubledPolygonModel(MetricModel):
         return math.acosh(cr * cr - sr * sr * math.cos(2.0 * math.pi * m / n))
 
     def loop_radius(self, i: int) -> float:
-        """Distance to the nearest non-incident side.  The polygon is
-        convex and regular, so that side is one of the two next to the
-        sides at the vertex: sides ``i`` and ``i - 3`` (mod n), where
-        side k joins polygon vertices k and k + 1."""
+        """Distance to the nearest non-incident side: the side length.
+        Every angle is right, so the perpendicular from a vertex to the
+        side after its neighbour's has that neighbour as its foot."""
         self._check_vertex(i)
-        n = self.n_points
-        p = self.vertices[i - 1]
-        return min(
-            _point_segment_distance(p, self.vertices[k % n], self.vertices[(k + 1) % n])
-            for k in (i, i + n - 3)
-        )
+        return self.side
 
     def realize_arc(self, event) -> ArcEmbedding:
         if event["kind"] != "pair":

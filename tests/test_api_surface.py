@@ -3,7 +3,9 @@ top-level function and class in ``src/hyperbasis``, and every method
 that is not a dunder, is used somewhere in ``src`` (as a name, an
 attribute or an imported name) or is named in ``perfbench/*.py``.  A
 string in ``__all__`` or a docstring is not a use.  Code that only the
-tests call belongs in ``tests/``."""
+tests call belongs in ``tests/``.  No module outside ``__init__.py``
+imports a name at module level that it never reads, so no linter is
+needed to catch a leftover import."""
 
 import ast
 import re
@@ -56,6 +58,26 @@ def unused(sources: dict[str, str], perfbench_text: str) -> list[str]:
     ]
 
 
+def unused_imports(source: str) -> list[str]:
+    """Module-level imported names that ``source`` never reads as a name
+    (which covers the base of an attribute).  ``from __future__`` and an
+    import on a line marked ``# noqa: F401`` are exempt."""
+    tree = ast.parse(source)
+    lines = source.splitlines()
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    found = []
+    for node in tree.body:
+        if not isinstance(node, (ast.Import, ast.ImportFrom)):
+            continue
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        for alias in node.names:
+            name = (alias.asname or alias.name).split(".")[0]
+            if name not in read and "# noqa: F401" not in lines[alias.lineno - 1]:
+                found.append(name)
+    return found
+
+
 def test_scan_counts_uses_not_strings():
     sources = {
         "a": (
@@ -84,3 +106,27 @@ def test_package_defines_nothing_unreached():
     )
     assert sources and perfbench_text
     assert unused(sources, perfbench_text) == []
+
+
+def test_import_scan_counts_reads_only():
+    source = (
+        "from __future__ import annotations\n"
+        "import math\n"
+        "import os.path\n"
+        "import sys\n"
+        "from json import dumps, loads as read\n"
+        "from .a import (\n    kept,  # noqa: F401  wrapped by name\n    spare,\n)\n"
+        "__all__ = ['sys']\n"
+        "def f():\n    'Returns spare in prose only.'\n"
+        "    return math.pi, os.path.sep, read\n"
+    )
+    assert unused_imports(source) == ["sys", "dumps", "spare"]
+
+
+def test_package_imports_nothing_unread():
+    found = {
+        p.stem: unused_imports(p.read_text(encoding="utf-8"))
+        for p in sorted(SRC.glob("*.py"))
+        if p.name != "__init__.py"
+    }
+    assert found and {m: names for m, names in found.items() if names} == {}

@@ -177,6 +177,21 @@ def test_partial_basis_never_exceeds_2g():
             assert len(H) <= 2 * m.genus
 
 
+def test_parity_and_cover_agree_past_12_cone_points():
+    """Arc systems on 14 to 60 cone points: the parity test and the
+    cover's complement count and rank never disagree, and both verdicts
+    occur."""
+    basis = {True: 0, False: 0}
+    for seed in range(400):
+        rng = random.Random(seed)
+        m = random_growth_map(rng, rng.randrange(14, 61, 2))
+        for _ in range(3):
+            H = random_subgraph(rng, m)
+            components, _ = cover.verdict(m, H, sm.is_nonseparating(m, H))
+            basis[components == 1] += 1
+    assert basis[True] and basis[False]
+
+
 def test_branch_cuts_avoid_arc_system():
     rng = random.Random(5)
     for _ in range(60):

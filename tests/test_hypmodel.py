@@ -2,17 +2,93 @@ import math
 
 import pytest
 
-from hyperbasis import hypmodel
+from hyperbasis import growth, hypmodel
 from hyperbasis.errors import EmbeddingError, InputError
-from hyperbasis.hypmodel import _dist, _mdot, _point_segment_distance
+
+# -- hyperboloid reference geometry -------------------------------------
+# Points of the hyperbolic plane as (x, y, t) with the Minkowski form
+# <a, b> = a_x b_x + a_y b_y - a_t b_t; the package itself needs only the
+# closed forms these check.
+
+
+def _mdot(a, b) -> float:
+    return a[0] * b[0] + a[1] * b[1] - a[2] * b[2]
+
+
+def _mcross(a, b):
+    """Vector Minkowski-orthogonal to both arguments."""
+    c = (
+        a[1] * b[2] - a[2] * b[1],
+        a[2] * b[0] - a[0] * b[2],
+        a[0] * b[1] - a[1] * b[0],
+    )
+    return (c[0], c[1], -c[2])
+
+
+def _dist(a, b) -> float:
+    return math.acosh(max(1.0, -_mdot(a, b)))
+
+
+def _point_segment_distance(p, u, v) -> float:
+    """Distance from a hyperboloid point to the closed geodesic segment."""
+    n = _mcross(u, v)
+    nn = _mdot(n, n)
+    if nn <= 0:
+        raise InputError("degenerate geodesic segment")
+    t = _mdot(p, n) / nn
+    f = (p[0] - t * n[0], p[1] - t * n[1], p[2] - t * n[2])
+    ff = _mdot(f, f)
+    if ff < 0:
+        f = tuple(x / math.sqrt(-ff) for x in f)
+        # foot = a*u + b*v; inside the segment iff both weights nonnegative
+        c = _mdot(u, v)
+        fu, fv = _mdot(f, u), _mdot(f, v)
+        det = 1.0 - c * c
+        a = -(fu + c * fv) / det
+        b = -(c * fu + fv) / det
+        if a >= -1e-12 and b >= -1e-12:
+            return _dist(p, f)
+    return min(_dist(p, u), _dist(p, v))
+
+
+def polygon_vertices(m):
+    """Polygon vertex k (cone point k + 1) at angle 2*pi*k/N on the
+    circle of radius ``m.circumradius`` about (0, 0, 1)."""
+    n = m.n_points
+    sr, cr = math.sinh(m.circumradius), math.cosh(m.circumradius)
+    return [
+        (
+            sr * math.cos(2.0 * math.pi * k / n),
+            sr * math.sin(2.0 * math.pi * k / n),
+            cr,
+        )
+        for k in range(n)
+    ]
 
 
 def reflect(x, u, v):
     """Reflect a hyperboloid point across the geodesic through u, v."""
-    n = hypmodel._mcross(u, v)
+    n = _mcross(u, v)
     scale = _mdot(n, n)
     t = 2.0 * _mdot(x, n) / scale
     return (x[0] - t * n[0], x[1] - t * n[1], x[2] - t * n[2])
+
+
+class TwoSideScanModel(hypmodel.RegularDoubledPolygonModel):
+    """The regular model with each loop radius measured on the
+    hyperboloid: the distance to the two sides next to the incident
+    ones, sides ``i`` and ``i - 3`` (mod N), where side k joins polygon
+    vertices k and k + 1."""
+
+    def loop_radius(self, i: int) -> float:
+        self._check_vertex(i)
+        n = self.n_points
+        vertices = polygon_vertices(self)
+        p = vertices[i - 1]
+        return min(
+            _point_segment_distance(p, vertices[k % n], vertices[(k + 1) % n])
+            for k in (i, i + n - 3)
+        )
 
 
 def vertex_angle(m):
@@ -70,22 +146,24 @@ def test_triangle_inequality_sampled(g):
                 )
 
 
-def test_distances_against_unfolding_oracle():
+@pytest.mark.parametrize("g", range(2, 8))
+def test_distances_against_unfolding_oracle(g):
     """Reflecting across the polygon sides unfolds paths on the double;
     no reflected image may beat the in-polygon segment."""
-    m = hypmodel.regular_model(2)
+    m = hypmodel.regular_model(g)
     n = m.n_points
-    sides = [(m.vertices[k], m.vertices[(k + 1) % n]) for k in range(n)]
+    vertices = polygon_vertices(m)
+    sides = [(vertices[k], vertices[(k + 1) % n]) for k in range(n)]
     for i in range(1, n + 1):
         for j in range(i + 1, n + 1):
-            target = m.vertices[j - 1]
+            target = vertices[j - 1]
             images = [target]
             images += [reflect(target, u, v) for u, v in sides]
             images += [
                 reflect(im, u, v) for u, v in sides for im in images[1 : n + 1]
             ]
-            brute = min(_dist(m.vertices[i - 1], im) for im in images)
-            assert brute == pytest.approx(m.pair_distance(i, j), abs=1e-6)
+            brute = min(_dist(vertices[i - 1], im) for im in images)
+            assert brute == pytest.approx(m.pair_distance(i, j), abs=1e-9)
 
 
 @pytest.mark.parametrize("g", [2, 3, 4])
@@ -94,13 +172,14 @@ def test_loop_radius_reflection_oracle(g):
     side, bounded by half the distance to the reflected image."""
     m = hypmodel.regular_model(g)
     n = m.n_points
+    vertices = polygon_vertices(m)
     for i in range(1, n + 1):
-        p = m.vertices[i - 1]
+        p = vertices[i - 1]
         best = math.inf
         for k in range(n):
             if (i - 1) in (k, (k + 1) % n):
                 continue
-            u, v = m.vertices[k], m.vertices[(k + 1) % n]
+            u, v = vertices[k], vertices[(k + 1) % n]
             best = min(best, _dist(p, reflect(p, u, v)) / 2.0)
         assert m.loop_radius(i) == pytest.approx(best, abs=1e-9)
         assert m.loop_radius(i) > 0
@@ -109,31 +188,50 @@ def test_loop_radius_reflection_oracle(g):
 def full_scan_loop_radius(m, i):
     """Distance from vertex i to every non-incident side, minimised."""
     n = m.n_points
-    p = m.vertices[i - 1]
+    vertices = polygon_vertices(m)
+    p = vertices[i - 1]
     best = math.inf
     for k in range(n):
         u, w = k, (k + 1) % n
         if (i - 1) in (u, w):
             continue
-        best = min(best, _point_segment_distance(p, m.vertices[u], m.vertices[w]))
+        best = min(best, _point_segment_distance(p, vertices[u], vertices[w]))
     return best
 
 
 def test_loop_radius_matches_full_side_scan():
-    """``loop_radius`` measures only the two sides next to the incident
-    ones; the scan over every side agrees to the last bit."""
+    """``loop_radius`` is the side length; the scan over every
+    non-incident side on the hyperboloid agrees to rounding."""
     for g in range(2, 61):
         m = hypmodel.regular_model(g)
         for i in range(1, m.n_points + 1):
-            assert m.loop_radius(i).hex() == full_scan_loop_radius(m, i).hex()
+            assert m.loop_radius(i) == m.side
+            assert full_scan_loop_radius(m, i) == pytest.approx(m.side, rel=1e-10)
 
 
 def test_loop_radius_g2_equals_side():
     m = hypmodel.regular_model(2)
     for i in range(1, 7):
-        assert m.loop_radius(i) == pytest.approx(m.side, abs=1e-12)
+        assert m.loop_radius(i) == m.side
     # pair touches happen strictly before self touches on this model
     assert m.pair_distance(1, 2) / 2 < m.loop_radius(1)
+
+
+def test_loop_radius_checks_the_vertex():
+    m = hypmodel.regular_model(3)
+    for i in (0, m.n_points + 1):
+        with pytest.raises(InputError):
+            m.loop_radius(i)
+
+
+@pytest.mark.parametrize("g", [*range(2, 41), 60])
+def test_growth_matches_two_side_scan(g):
+    """The loop radius never decides an event, so growth on the
+    hyperboloid-measured model yields the same events bit for bit."""
+    assert (
+        growth.simulate(TwoSideScanModel(g)).events
+        == growth.simulate(hypmodel.regular_model(g)).events
+    )
 
 
 def test_realize_arc_rejects_chords_and_loops():
