@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import heapq
 from collections import defaultdict, deque
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import ConstructionError, InputError
 from .spheremap import RotationSystem, SphereMap, _UnionFind
@@ -43,8 +43,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class _Edge:
+class _Edge(NamedTuple):
     idx: int
     darts: tuple[int, int]
     arc_id: int | None       # None for scaffold edges
@@ -400,11 +399,10 @@ def complement_components(cov: CoverComplex, curve_edges=None) -> int:
         curve_edges = cov.hsharp
     curve_edges = set(curve_edges)
     uf = _UnionFind(range(cov.n_faces))
-    for dl in range(0, len(cov.alpha_hat)):
-        ce = cov.edge_of_lift[dl]
-        if ce in curve_edges:
-            continue
-        uf.union(cov.face_of_lift[dl], cov.face_of_lift[cov.alpha_hat[dl]])
+    face_of, edge_of = cov.face_of_lift, cov.edge_of_lift
+    for dl, other in enumerate(cov.alpha_hat):     # each edge once: its two lifts swap
+        if dl < other and edge_of[dl] not in curve_edges:
+            uf.union(face_of[dl], face_of[other])
     return len({uf.find(f) for f in range(cov.n_faces)})
 
 

@@ -29,6 +29,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from enum import Enum
+from typing import NamedTuple
 
 from .errors import EmbeddingError, InputError
 from .jsonio import json_int
@@ -60,8 +61,7 @@ class ComponentKind(Enum):
     INVALID = "invalid"
 
 
-@dataclass(frozen=True)
-class Arc:
+class Arc(NamedTuple):
     id: int
     kind: str                 # "edge" | "loop"
     u: int                    # vertex of darts[0]
@@ -78,8 +78,7 @@ class Arc:
         return (self.u, self.v)
 
 
-@dataclass(frozen=True)
-class Component:
+class Component(NamedTuple):
     key: int                      # smallest vertex id
     vertices: tuple[int, ...]
     arcs: tuple[int, ...]

@@ -1,7 +1,8 @@
 """Reports must stay byte-identical across changes, and the benchmark
 only pins what it runs (``pipeline``, ``prune --map`` and ``verify
---subset``); so every other command, and one input per documented
-non-zero exit, must reproduce the exit code, stdout digest and stderr
+--subset``) on its own seed-1 inputs; so every other command, one input
+per documented non-zero exit, and one successful ``prune --map`` and
+``pipeline``, must reproduce the exit code, stdout digest and stderr
 recorded in ``golden_reports.json`` by ``record_golden.py``.  So must
 the prune results of two seeded map families, where region numbering
 can move, the ``prune.verify`` reports of the maps in them that prune,

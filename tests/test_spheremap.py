@@ -377,6 +377,52 @@ def test_components_carry_kinds_and_arc_split():
     }
 
 
+RECORDS = [
+    (sm.Arc, {"id": 3, "kind": "loop", "u": 2, "v": 2, "darts": (4, 5)}),
+    (sm.Component, {"key": 1, "vertices": (1, 2), "arcs": (1, 3), "loops": (3,), "edges": (1,)}),
+    (cover._Edge, {"idx": 0, "darts": (6, 7), "arc_id": None}),
+]
+
+
+@pytest.mark.parametrize("record, fields", RECORDS, ids=[r.__name__ for r, _ in RECORDS])
+def test_records_are_immutable_hashable_and_built_by_keyword(record, fields):
+    rec = record(**fields)
+    assert {name: getattr(rec, name) for name in fields} == fields
+    twin = record(**fields)
+    assert rec == twin and hash(rec) == hash(twin) and len({rec, twin}) == 1
+    for name in [*fields, "extra"]:
+        with pytest.raises(AttributeError):
+            setattr(rec, name, 0)
+    assert {name: getattr(rec, name) for name in fields} == fields
+
+
+def test_arc_base_and_endpoints():
+    loop = sm.Arc(id=3, kind="loop", u=2, v=2, darts=(4, 5))
+    edge = sm.Arc(id=1, kind="edge", u=1, v=2, darts=(0, 1))
+    assert loop.base == 2 and edge.endpoints() == (1, 2)
+    with pytest.raises(InputError, match="arc 1 is not a loop"):
+        edge.base
+
+
+@pytest.mark.parametrize(
+    "vertices, loops, edges, kind",
+    [
+        ((1,), (), (), sm.ComponentKind.ISOLATED_VERTEX),
+        ((1,), (3,), (), sm.ComponentKind.LOOP),
+        ((1, 2, 3), (), (1, 2), sm.ComponentKind.TREE),
+        ((1, 2), (3,), (1,), sm.ComponentKind.LOOPED_TREE),
+        ((1, 2), (3, 4), (1,), sm.ComponentKind.INVALID),
+        ((1, 2), (), (1, 2), sm.ComponentKind.INVALID),
+        ((1, 2), (3,), (), sm.ComponentKind.INVALID),
+    ],
+)
+def test_component_kind(vertices, loops, edges, kind):
+    comp = sm.Component(
+        key=vertices[0], vertices=vertices, arcs=tuple(sorted(loops + edges)), loops=loops, edges=edges
+    )
+    assert comp.kind is kind
+
+
 # -- without_arcs against the former replay of the constructor -----------
 
 
