@@ -4,9 +4,9 @@ Given an arrangement and a designated arc system H, the sphere is first
 refined into one connected cell complex: scaffold edges chain the pieces
 of every region together, and extra chords are inserted until the
 complex stays connected after removing H's arcs.  The complex is a
-``spheremap.RotationSystem``; the chords come from one queue of faces
-ordered by smallest dart, where a split face keeps its table and only
-the smaller half is walked again.  A branch-cut set B is then chosen
+``spheremap.RotationSystem``; the chords come from one pass over its
+faces by smallest dart, each walked once and fanning chords out of one
+corner at its smallest vertex.  A branch-cut set B is then chosen
 inside the non-H edges with odd degree at every vertex, each a cone
 point (a T-join), so that a walk crossing B an odd number of times
 encircles an odd number of cone points.
@@ -26,8 +26,6 @@ loops become figure eights) are validated on every construction.
 
 from __future__ import annotations
 
-import heapq
-from collections import defaultdict, deque
 from typing import NamedTuple
 
 from .errors import ConstructionError, InputError
@@ -47,40 +45,6 @@ class _Edge(NamedTuple):
     idx: int
     darts: tuple[int, int]
     arc_id: int | None       # None for scaffold edges
-
-
-class _FaceTable:
-    """A queued face of the chord pass.  ``live`` holds its darts;
-    ``order`` and ``at[v]`` hold every dart it has had, ascending, and
-    shed dead ones from the front when read; ``vertices[j:]`` are the
-    vertices that may still be w.  Chord darts are newer than all."""
-
-    __slots__ = ("live", "order", "at", "vertices", "j")
-
-    def __init__(self, darts, dart_vertex: dict[int, int]):
-        self.order = deque(sorted(darts))
-        self.live = set(self.order)
-        self.at = at = defaultdict(deque)
-        for d in self.order:
-            at[dart_vertex[d]].append(d)
-        self.vertices, self.j = sorted(at), 1
-
-    def first(self, darts: deque) -> int | None:
-        """Smallest live dart of ``darts``, or None."""
-        while darts and darts[0] not in self.live:
-            darts.popleft()
-        return darts[0] if darts else None
-
-    def next_w(self, uf: _UnionFind) -> int | None:
-        """Smallest vertex on the face outside the component of u, its
-        smallest vertex.  One passed over never qualifies again."""
-        vs, root = self.vertices, uf.find(self.vertices[0])
-        while self.j < len(vs):
-            v = vs[self.j]
-            if self.first(self.at[v]) is not None and uf.find(v) != root:
-                return v
-            self.j += 1
-        return None
 
 
 class MasterComplex(RotationSystem):
@@ -146,63 +110,42 @@ class MasterComplex(RotationSystem):
 
     def _scaffold_connectivity(self) -> None:
         """Insert chords until the complex minus H's arcs is connected, so
-        a T-join avoiding H exists.  Any face whose boundary meets two
-        components of the reduced complex admits such a chord.
+        a T-join avoiding H exists.
 
-        Faces are tried in order of their smallest dart; a chord joins
-        u, the face's smallest vertex, to w, its smallest vertex outside
-        u's component, at the corners into their smallest face darts.
-        Components only merge, so a face passed over never qualifies
-        again.  The two halves of a split face both keep a dart at u.
-        They are walked in step from the chord's darts until one closes;
-        that smaller half gets a fresh ``_FaceTable``, and the larger one
-        keeps the old table, so a dart is walked again only when its face
-        at least halves.
+        One pass over the faces, by smallest dart, fans chords out of
+        one corner per face: u is the face's smallest vertex, at the
+        corner into its smallest face dart there.  The face is walked
+        once from that dart, and each dart whose vertex w lies outside
+        u's component gets a chord from that corner to the corner into
+        it.  The walk's remaining darts stay on the face holding the
+        newest chord, so the chords never cross.  A walked face has all
+        its vertices in one component, and both ends of every H arc lie
+        on a common face, so one pass connects the complex.
         """
         uf = _UnionFind(self.rotations)
         for e in self.edges:
             if e.arc_id not in self.subgraph:
                 uf.union(self.dart_vertex[e.darts[0]], self.dart_vertex[e.darts[1]])
         n_components = len({uf.find(v) for v in self.rotations})
-        sigma, alpha, dart_vertex = self.sigma, self.alpha, self.dart_vertex
-        queue = [f[0] for f in self.face_orbits()]     # sorted, so a heap
-        tables: dict[int, _FaceTable] = {}
-        while n_components > 1:
-            if not queue:
-                raise ConstructionError(
-                    "no face joins two components of the reduced complex"
-                )
-            key = heapq.heappop(queue)
-            face = tables.pop(key, None) or _FaceTable(self.face(key), dart_vertex)
-            w = face.next_w(uf)
-            if w is None:
-                continue
-            u = face.vertices[0]
-            p, q = self._insert_arc(
-                u, self._corner_handle(face.first(face.at[u])),
-                w, self._corner_handle(face.first(face.at[w])),
-            )
-            self._register_edge((p, q), None)
-            uf.union(u, w)
-            n_components -= 1
+        dart_vertex = self.dart_vertex
+        for face in self.face_orbits():
             if n_components == 1:
-                break
-            half_p, half_q = [p], [q]
-            x, y = sigma[q], sigma[p]              # face successors of p, q
-            while x != p and y != q:
-                half_p.append(x)
-                half_q.append(y)
-                x, y = sigma[alpha[x]], sigma[alpha[y]]
-            # the larger half keeps ``face``, less the smaller, plus its chord dart
-            small, chord_dart = (half_p, q) if x == p else (half_q, p)
-            face.live.difference_update(small)
-            face.live.add(chord_dart)
-            face.order.append(chord_dart)
-            face.at[dart_vertex[chord_dart]].append(chord_dart)
-            for table in (face, _FaceTable(small, dart_vertex)):
-                key = table.first(table.order)
-                tables[key] = table
-                heapq.heappush(queue, key)
+                return
+            u = min(dart_vertex[d] for d in face)
+            i = face.index(min(d for d in face if dart_vertex[d] == u))
+            handle, root = self._corner_handle(face[i]), uf.find(u)
+            for x in face[i + 1:] + face[:i]:
+                w = dart_vertex[x]
+                if uf.find(w) != root:
+                    self._register_edge(
+                        self._insert_arc(u, handle, w, self._corner_handle(x)), None
+                    )
+                    uf.union(root, w)          # root stays u's root
+                    n_components -= 1
+        if n_components > 1:
+            raise ConstructionError(
+                "no face joins two components of the reduced complex"
+            )
 
     def _check_euler(self) -> None:
         v = len(self.rotations)

@@ -197,6 +197,19 @@ def test_count_lambda():
     assert bounds.count_lambda(2, 0.9) == 2
 
 
+def test_lambda_count_stays_below_n_lambda():
+    """The headline claim's arithmetic: the first count_lambda(g, lambda)
+    per-index bounds lie below N(lambda), unclamped, and the count never
+    exceeds kappa(g)."""
+    lams = [i / 100 for i in range(1, 100)]
+    for g in [*range(2, 121), 200, 399, 1000, 1600]:
+        for lam in lams:
+            count, cap = bounds.count_lambda(g, lam), bounds.n_lambda(lam)
+            assert count <= bounds.kappa(g)
+            for k in range(1, count + 1):
+                assert bounds.theorem_bound(g, k) < cap
+
+
 def test_bound_table_shape_and_invariants():
     for g in (2, 5, 12):
         rows = bounds.bound_table(g)

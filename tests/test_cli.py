@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hyperbasis import cli, cover, families, prune
+from hyperbasis import bounds, cli, cover, families, prune
 from hyperbasis.errors import ConstructionError
 from mapfactory import bones, map_json, polygon_cycle, random_growth_map, sibling_loops
 
@@ -60,6 +60,17 @@ def test_bounds_lambda_near_one_exits_2(capsys):
     assert err.startswith("error: energy denominator")
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["pipeline"], "--genus is required with the regular model"),
+        (["simulate", "--genus", "1"], "genus must be an integer >= 2, got 1"),
+    ],
+)
+def test_regular_model_genus_errors_exit_2(argv, message, capsys):
+    assert run(argv, capsys) == (2, "", f"invalid input: {message}\n")
+
+
 def test_unknown_flag_exits_2(capsys):
     assert cli.main(["bounds", "--nope"]) == 2
 
@@ -97,6 +108,22 @@ def test_pipeline_with_lambda(tmp_path, capsys):
     assert code == 0
     report = json.loads(out.read_text())
     assert len(report["jacobian"]) == 2    # ceil(0.9 * 2/3 * 3)
+
+
+@pytest.mark.parametrize("lam", [0.1, 0.5, 0.9])
+@pytest.mark.parametrize("g", [2, 7, 26, 60])
+def test_pipeline_meets_the_lambda_claim(g, lam, capsys):
+    """The first count_lambda(g, lambda) kept loops of a regular pipeline
+    have length 4r at most N(lambda)."""
+    code, out, _ = run(["pipeline", "--genus", str(g), "--lambda", str(lam)], capsys)
+    assert code == 0
+    chain = json.loads(out)["theorem_chain"]
+    count = bounds.count_lambda(g, lam)
+    assert len(chain) >= count
+    assert all(row["ok"] for row in chain)
+    # bound_table documents the chain as j <= 2g+1-kappa+k = j_limit - 1
+    assert all(row["j"] <= row["j_limit"] - 1 for row in chain)
+    assert all(row["four_r"] <= bounds.n_lambda(lam) for row in chain[:count])
 
 
 @pytest.mark.parametrize(
@@ -397,6 +424,8 @@ def block4_with(mutate):
         (lambda d: d["arcs"][0].update(kind=None), "arc 1: kind must be edge or loop, got None"),
         (lambda d: d["arcs"][1].update(darts=[2, 99]), "arc 2 uses unknown dart 99"),
         (lambda d: d["arcs"][1].update(darts=[2]), "arc 2: darts must list two darts"),
+        (lambda d: d["arcs"][0].update(darts=[0, 0]), "arc 1 pairs a dart with itself"),
+        (lambda d: d["arcs"][1].update(kind="edge"), "arc 2 kind/endpoint mismatch"),
         (lambda d: d["vertices"][0].update(cone="false"), "vertices[0].cone must be a boolean, got 'false'"),
         (lambda d: d["vertices"][0].update(cone=1), "vertices[0].cone must be a boolean, got 1"),
         (lambda d: d["vertices"][2].update(id=1.7), "vertices[2].id must be an integer, got 1.7"),
@@ -458,6 +487,20 @@ def test_construction_error_exits_4(monkeypatch, tmp_path, capsys):
     assert out == ""
     assert "Traceback" in err
     assert "ConstructionError: lift table out of step" in err
+
+
+def test_disconnected_reduced_complex_exits_4(monkeypatch, tmp_path, capsys):
+    # without the region scaffold no face joins two components
+    monkeypatch.setattr(cover.MasterComplex, "_scaffold_regions", lambda self: None)
+    path = tmp_path / "fam.json"
+    path.write_text(map_json(families.block_family(2)))
+    code, out, err = run(["verify", "--map", str(path)], capsys)
+    assert code == 4
+    assert out == ""
+    assert "Traceback" in err
+    assert err.endswith(
+        "ConstructionError: no face joins two components of the reduced complex\n"
+    )
 
 
 def test_unexpected_exception_exits_4(monkeypatch, tmp_path, capsys):

@@ -243,17 +243,19 @@ def rotation_faces(rotations, alpha):
 
 
 class RestartMaster(cover.MasterComplex):
-    """Scaffold chords by the restart loop: after every chord, rebuild the
-    union-find of the complex minus H and every face, and take the first
-    face, by smallest dart, that meets two components.  Corners are found
-    by scanning the face, as the package once did."""
+    """Scaffold chords by a naive fan.  The faces are taken once before
+    any chord.  Each face is walked once, cyclically from its smallest
+    dart y at its smallest vertex u, and every dart whose vertex is
+    outside u's component gets a chord from the corner into y to the
+    corner into that dart.  The union-find of the complex minus H is
+    rebuilt before every dart, and corners are found by scanning every
+    rotation list."""
 
     def _corner_handle(self, face: tuple[int, ...], vertex: int) -> int:
         """Dart d at ``vertex`` whose corner (d -> sigma(d)) lies on ``face``:
         the rotation predecessor of the face's smallest dart at the vertex."""
         y = min(d for d in face if self.dart_vertex[d] == vertex)
-        rot = self.rotations[vertex]
-        return rot[(rot.index(y) - 1) % len(rot)]
+        return rotation_predecessor(self.rotations, y)
 
     def _scaffold_regions(self) -> None:
         """Chain the faces and bare vertices of each region together."""
@@ -275,30 +277,37 @@ class RestartMaster(cover.MasterComplex):
                 # subsequent hops leave from the dart just planted
                 anchors[i + 1] = (w, q)
 
+    def _reduced_components(self) -> sm._UnionFind:
+        uf = sm._UnionFind(self.rotations)
+        for e in self.edges:
+            if e.arc_id not in self.subgraph:
+                uf.union(self.dart_vertex[e.darts[0]], self.dart_vertex[e.darts[1]])
+        return uf
+
     def _scaffold_connectivity(self):
-        while True:
-            uf = sm._UnionFind(self.rotations)
-            for e in self.edges:
-                if e.arc_id not in self.subgraph:
-                    uf.union(self.dart_vertex[e.darts[0]], self.dart_vertex[e.darts[1]])
-            if len({uf.find(v) for v in self.rotations}) == 1:
-                return
-            for face in rotation_faces(self.rotations, self.alpha)[1]:
-                by_root = {}
-                for d in face:
-                    v = self.dart_vertex[d]
-                    r = uf.find(v)
-                    by_root[r] = min(by_root.get(r, v), v)
-                if len(by_root) >= 2:
-                    u, w = sorted(by_root.values())[:2]
+        self.faces_before = rotation_faces(self.rotations, self.alpha)[1]
+        self.edges_before = len(self.edges)
+        self.components_before = len(self._reduced_components().classes())
+        for face in self.faces_before:
+            u = min(self.dart_vertex[d] for d in face)
+            y = min(d for d in face if self.dart_vertex[d] == u)
+            handle, i = rotation_predecessor(self.rotations, y), face.index(y)
+            for x in face[i + 1:] + face[:i]:
+                uf = self._reduced_components()
+                w = self.dart_vertex[x]
+                if uf.find(w) != uf.find(u):
                     darts = self._insert_arc(
-                        u, self._corner_handle(face, u),
-                        w, self._corner_handle(face, w),
+                        u, handle, w, rotation_predecessor(self.rotations, x)
                     )
                     self._register_edge(darts, None)
-                    break
-            else:
-                raise AssertionError("no face joins two components")
+        assert len(self._reduced_components().classes()) == 1
+
+
+def rotation_predecessor(rotations, d):
+    for rot in rotations.values():
+        if d in rot:
+            return rot[rot.index(d) - 1]
+    raise AssertionError(f"unknown dart {d}")
 
 
 def scan_edge_endpoints(cov, ce):
@@ -371,6 +380,21 @@ def test_single_pass_scaffold_matches_restart_loop(monkeypatch):
         assert cov.vertex_of_lift == ref.vertex_of_lift
         assert cov.edge_of_lift == ref.edge_of_lift
         assert cov.face_of_lift == ref.face_of_lift
+        # one chord per merge, each across a face of the complex before
+        # any chord: past the newer chords fanned out of the same corner,
+        # the darts after its two ends in rotation share a face
+        chords = got.edges[want.edges_before:]
+        assert len(chords) == want.components_before - 1
+        face_of = {d: f for f, face in enumerate(want.faces_before) for d in face}
+        for e in chords:
+            assert e.arc_id is None
+            ends = []
+            for d in e.darts:
+                d = got.sigma[d]
+                while d not in face_of:
+                    d = got.sigma[d]
+                ends.append(face_of[d])
+            assert ends[0] == ends[1]
 
 
 def test_lift_tables_match_linear_scans():
@@ -419,10 +443,10 @@ class CountingMaster(cover.MasterComplex):
 
 
 def test_scaffold_work_grows_linearly(monkeypatch):
-    """Each dart is walked again only as part of the smaller half of a
-    split face, and w only moves forward; a chord pass that re-walks the
-    big outer face once per chord reads sigma about 400 times per dart
-    at 400 blocks, and its reads grow 4x per doubling."""
+    """Each face is walked once, and the chords fanned out of it never
+    send the walk back; a chord pass that re-walks the big outer face
+    once per chord reads sigma about 400 times per dart at 400 blocks,
+    and its reads grow 4x per doubling."""
     monkeypatch.setattr(cover, "_UnionFind", CountingUnionFind)
     work = {}
     for n in (100, 200, 400):

@@ -87,7 +87,7 @@ def test_basis_energy_table():
     assert len(rows) == 3
     cap = jacobian.d_lambda(0.5)
     for r in rows:
-        assert r["length_bound"] <= bounds.n_lambda(0.5) + 1e-12
+        assert bounds.theorem_bound(9, r["k"]) < bounds.n_lambda(0.5)
         assert r["energy_bound"] <= cap + 1e-9
         assert r["width"] > 0
         assert r["energy_bound"] > r["length_bound"] / math.pi
