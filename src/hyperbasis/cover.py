@@ -93,7 +93,7 @@ class MasterComplex(RotationSystem):
         for region in smap.regions:
             anchors: list[tuple[int, int | None]] = []
             for fkey in region["faces"]:
-                face = smap.face(fkey)
+                face = smap.faces[fkey]
                 v = min(self.dart_vertex[d] for d in face)
                 y = min(d for d in face if self.dart_vertex[d] == v)
                 anchors.append((v, self._corner_handle(y)))
@@ -285,7 +285,9 @@ class CoverComplex:
             raise ConstructionError(
                 f"cover Euler characteristic {self.euler()}, expected {expected_chi}"
             )
-        if not self.is_connected():
+        # {sigma, alpha} and {sigma o alpha, alpha} generate one group, so
+        # the cover is connected iff its faces are, across its edges
+        if complement_components(self, ()) != 1:
             raise ConstructionError("cover is disconnected")
         branch_base = sorted(map(self._projection_vertex, self.branch_vertices))
         if branch_base != sorted(self.master.rotations):
@@ -306,19 +308,6 @@ class CoverComplex:
 
     def euler(self) -> int:
         return self.n_vertices - self.n_edges + self.n_faces
-
-    def is_connected(self) -> bool:
-        n = len(self.sigma_hat)
-        seen = [False] * n
-        stack = [0]
-        seen[0] = True
-        while stack:
-            dl = stack.pop()
-            for nxt in (self.sigma_hat[dl], self.alpha_hat[dl]):
-                if not seen[nxt]:
-                    seen[nxt] = True
-                    stack.append(nxt)
-        return all(seen)
 
     def edge_endpoints(self, ce: int) -> tuple[int, int]:
         dl = self.lift_of_edge[ce]

@@ -54,24 +54,21 @@ class GrowthLog:
     def j_final(self) -> int:
         return sum(ev["k"] for ev in self.events[:-1])
 
-    def validate(self, partial: bool = False) -> None:
-        """Structural bookkeeping; radius bounds are checked separately.
-
-        ``partial`` skips the termination arithmetic, for prefixes of a run.
-        """
+    def validate(self) -> None:
+        """Structural bookkeeping of a complete run; radius bounds are
+        checked separately."""
         g = self.genus
         n = 2 * g + 2
         if not g >= 2:
             raise InputError(f"genus must be >= 2, got {g}")
-        if not partial:
-            if not (g + 1 <= self.M <= n):
-                raise InputError(f"M = {self.M} outside [{g + 1}, {n}]")
-            if self.consumed_total() != n:
-                raise InputError(
-                    f"events consume {self.consumed_total()} disks, expected {n}"
-                )
-            if self.j_final() not in (2 * g, 2 * g + 1):
-                raise InputError(f"final consumed count {self.j_final()} invalid")
+        if not (g + 1 <= self.M <= n):
+            raise InputError(f"M = {self.M} outside [{g + 1}, {n}]")
+        if self.consumed_total() != n:
+            raise InputError(
+                f"events consume {self.consumed_total()} disks, expected {n}"
+            )
+        if self.j_final() not in (2 * g, 2 * g + 1):
+            raise InputError(f"final consumed count {self.j_final()} invalid")
         frozen: set[int] = set()
         j = 0
         r_prev = 0.0
@@ -107,7 +104,7 @@ class GrowthLog:
                 frozen.add(v)
             j += k
             r_prev = max(r_prev, r)
-        if not partial and len(frozen) != n:
+        if len(frozen) != n:
             raise InputError("some vertices never froze")
 
 
@@ -209,6 +206,6 @@ def verify_radius_bounds(log: GrowthLog) -> list[dict]:
 def arc_graph(log: GrowthLog, model):
     """Embedded arc arrangement of a growth log, one arc per event with
     the event index as arc id.  Accepts prefixes of a run; untouched
-    vertices come out isolated."""
-    log.validate(partial=True)
+    vertices come out isolated.  The log is not checked again here:
+    ``simulate`` validates every log it makes."""
     return model.build_arc_graph(log)

@@ -10,10 +10,10 @@ lies in the face orbit containing sigma(d).
 ``RotationSystem`` holds these permutations once for every layer that
 walks them: the validated ``SphereMap``, the growth-order ``MapBuilder``
 and the cover's ``MasterComplex`` all derive from it.  Its one arc
-insertion keeps sigma up to date, ``face`` walks a single face, and
-``face_orbits`` lists them all.  ``components`` is the one connected
-component pass over a subgraph; the map's own components and the
-component kinds come from it.
+insertion keeps sigma up to date, and ``face_orbits`` lists every face;
+a ``SphereMap`` keeps them once, by name (the face's smallest dart).
+``components`` is the one connected component pass over a subgraph;
+the map's own components and the component kinds come from it.
 
 Rotation systems determine the embedding of each connected component,
 but not how separate components nest inside one another's faces, so a
@@ -188,16 +188,6 @@ class RotationSystem:
         self.alpha[q] = p
         return p, q
 
-    def face(self, d: int) -> list[int]:
-        """Darts of the face orbit through ``d``, starting at ``d``."""
-        sigma, alpha = self.sigma, self.alpha
-        out = [d]
-        x = sigma[alpha[d]]
-        while x != d:
-            out.append(x)
-            x = sigma[alpha[x]]
-        return out
-
     def face_orbits(self) -> list[tuple[int, ...]]:
         """Every face, starting at its smallest dart, sorted by it."""
         sigma, alpha = self.sigma, self.alpha
@@ -240,18 +230,22 @@ class SphereMap(RotationSystem):
 
     Every vertex is a cone point of angle pi (a branch point of the
     double cover), so the genus is (vertex count - 2) / 2.
+
+    ``arcs`` maps each arc id to ``(kind, (d1, d2))``; the constructor
+    reads the endpoints off the rotations and keeps every arc as an
+    ``Arc`` record in ``self.arcs``.  ``faces`` maps each face key (the
+    face's smallest dart) to the face's darts, in key order.
     """
 
     def __init__(
         self,
         rotations: dict[int, list[int]],
-        arcs: dict[int, Arc],
+        arcs: dict[int, tuple[str, tuple[int, int]]],
         genus: int | None = None,
         regions: list[dict] | None = None,
     ):
         super().__init__(rotations)
-        self.arcs = dict(arcs)
-        self._pair_darts()
+        self._pair_darts(arcs)
         self._build_faces()
         self._build_components()
         self.n_cone = len(self.rotations)
@@ -269,29 +263,29 @@ class SphereMap(RotationSystem):
 
     # -- construction ------------------------------------------------
 
-    def _pair_darts(self) -> None:
-        for a in self.arcs.values():
-            d1, d2 = a.darts
+    def _pair_darts(self, arcs) -> None:
+        self.arcs: dict[int, Arc] = {}
+        for aid, (kind, (d1, d2)) in arcs.items():
             if d1 == d2:
-                raise EmbeddingError(f"arc {a.id} pairs a dart with itself")
+                raise EmbeddingError(f"arc {aid} pairs a dart with itself")
             for d in (d1, d2):
                 if d not in self.dart_vertex:
-                    raise EmbeddingError(f"arc {a.id} uses unknown dart {d}")
+                    raise EmbeddingError(f"arc {aid} uses unknown dart {d}")
                 if d in self.alpha:
                     raise EmbeddingError(f"dart {d} belongs to two arcs")
             self.alpha[d1] = d2
             self.alpha[d2] = d1
-            if self.dart_vertex[d1] != a.u or self.dart_vertex[d2] != a.v:
-                raise EmbeddingError(f"arc {a.id} endpoints disagree with rotations")
-            if (a.kind == "loop") != (a.u == a.v):
-                raise EmbeddingError(f"arc {a.id} kind/endpoint mismatch")
+            u, v = self.dart_vertex[d1], self.dart_vertex[d2]
+            if (kind == "loop") != (u == v):
+                raise EmbeddingError(f"arc {aid} kind/endpoint mismatch")
+            self.arcs[aid] = Arc(aid, kind, u, v, (d1, d2))
         if set(self.alpha) != set(self.dart_vertex):
             raise EmbeddingError("rotation darts and arc darts differ")
         self.isolated = {v for v, rot in self.rotations.items() if not rot}
 
     def _build_faces(self) -> None:
-        self.faces = self.face_orbits()
-        self.face_of = {d: f[0] for f in self.faces for d in f}
+        self.faces = {f[0]: f for f in self.face_orbits()}
+        self.face_of = {d: key for key, f in self.faces.items() for d in f}
 
     def _build_components(self) -> None:
         self.components = components(self, self.arcs)
@@ -301,8 +295,8 @@ class SphereMap(RotationSystem):
 
     def _check_component_euler(self) -> None:
         nfaces = {c.key: 0 for c in self.components}
-        for f in self.faces:
-            nfaces[self.component_of[self.dart_vertex[f[0]]]] += 1
+        for key in self.faces:
+            nfaces[self.component_of[self.dart_vertex[key]]] += 1
         for c in self.components:
             if not c.arcs:
                 continue
@@ -319,7 +313,7 @@ class SphereMap(RotationSystem):
             if not nontrivial:
                 regions = [{"faces": [], "isolated": sorted(self.isolated)}]
             elif len(nontrivial) == 1 and not self.isolated:
-                regions = [{"faces": [f[0]], "isolated": []} for f in self.faces]
+                regions = [{"faces": [key], "isolated": []} for key in self.faces]
             else:
                 raise EmbeddingError(
                     "disconnected arrangement requires explicit regions"
@@ -330,7 +324,7 @@ class SphereMap(RotationSystem):
         for ridx, r in enumerate(regions):
             keys = r.get("faces", [])
             for key in keys:
-                if self.face_of.get(key) != key:
+                if key not in self.faces:
                     raise EmbeddingError(f"region lists unknown face key {key}")
                 if key in self.region_of_face:
                     raise EmbeddingError("face assigned to two regions")
@@ -414,7 +408,7 @@ class SphereMap(RotationSystem):
         for aid in sorted(removed):
             if aid not in self.arcs:
                 raise InputError(f"unknown arc id {aid}")
-        kept_arcs = {a: self.arcs[a] for a in self.arcs if a not in removed}
+        kept_arcs = {a: (x.kind, x.darts) for a, x in self.arcs.items() if a not in removed}
         dead_darts = {d for a in removed for d in self.arcs[a].darts}
         rotations = {
             v: [d for d in rot if d not in dead_darts]
@@ -486,26 +480,19 @@ def from_json(data) -> SphereMap:
                 raise InputError(f"vertices[{i}].cone must be a boolean, got {cone!r}")
             if not cone:
                 raise InputError(f'vertex {vid} is not a cone point ("cone": false)')
-        owner = {d: v for v, rot in rotations.items() for d in rot}
-        entries = {}
+        arcs = {}
         for i, a in enumerate(data["arcs"]):
             aid = json_int(a["id"], f"arcs[{i}].id")
-            if aid in entries:
+            if aid in arcs:
                 raise InputError(f"arcs[{i}] repeats arc id {aid}")
-            entries[aid] = (a["kind"], tuple(_json_ints(a["darts"], f"arcs[{i}].darts")))
+            arcs[aid] = (a["kind"], tuple(_json_ints(a["darts"], f"arcs[{i}].darts")))
     except (KeyError, TypeError) as e:
         raise InputError(f"malformed map description: {e}") from e
-    arcs = {}
-    for aid, (kind, darts) in entries.items():
+    for aid, (kind, darts) in arcs.items():
         if kind not in ("edge", "loop"):
             raise InputError(f"arc {aid}: kind must be edge or loop, got {kind!r}")
         if len(darts) != 2:
             raise InputError(f"arc {aid}: darts must list two darts")
-        for d in darts:
-            if d not in owner:
-                raise InputError(f"arc {aid} uses unknown dart {d}")
-        u, w = (owner[d] for d in darts)
-        arcs[aid] = Arc(id=aid, kind=kind, u=u, v=w, darts=darts)
     regions = data.get("regions")
     if regions is not None:
         _check_regions(regions)
@@ -690,14 +677,9 @@ def region_tree(smap: SphereMap, subgraph, *, erased=()) -> RegionTree:
     if len(nodes) != len(loop_arcs) + 1:
         raise EmbeddingError("regions and loops do not form a tree")
 
-    # vertices isolated in the subgraph
-    sub_degree = {v: 0 for v in smap.rotations}
-    for aid in sub:
-        a = arcs[aid]
-        sub_degree[a.u] += 1
-        sub_degree[a.v] += 1
-    for v in sorted(smap.rotations):
-        if sub_degree[v] == 0:
+    # vertices isolated in the subgraph: neither a loop base nor in a piece
+    for v in smap.rotations:
+        if v not in bases and v not in puf.parent:
             nodes[node_of_region[smap.vertex_region(v)]].isolated.append(v)
 
     for root, verts in puf.classes().items():
@@ -787,7 +769,7 @@ class MapBuilder(RotationSystem):
         super().__init__({int(v): [] for v in vertex_ids})
         if len(self.rotations) < 2:
             raise InputError("need at least two vertices")
-        self.arcs: dict[int, Arc] = {}
+        self.arcs: dict[int, tuple[str, tuple[int, int]]] = {}   # id -> (kind, darts)
         self._n_regions = 1
         self._region_of = dict.fromkeys(self.rotations, 0)   # bare vertex -> region
         self._face_region: dict[int, int] = {}       # face key -> region
@@ -908,7 +890,7 @@ class MapBuilder(RotationSystem):
         if arc_id in self.arcs:
             raise InputError(f"duplicate arc id {arc_id}")
         p, q = self._insert_arc(u, du, w, dw)
-        self.arcs[arc_id] = Arc(id=arc_id, kind=kind, u=u, v=w, darts=(p, q))
+        self.arcs[arc_id] = (kind, (p, q))
         return p, q
 
     def finalize(self) -> SphereMap:

@@ -1,7 +1,8 @@
-"""Cover queries that only the tests use: dual-walk winding parity, the
-dual circle around a vertex, the dimension of first homology, the deck
-involution, the lifts of each arc, and the cover debug dump that the
-golden file pins byte for byte.
+"""Cover queries that only the tests use: connectivity by a walk over
+the cover's darts, dual-walk winding parity, the dual circle around a
+vertex, the dimension of first homology, the deck involution, the lifts
+of each arc, and the cover debug dump that the golden file pins byte
+for byte.
 
 A ``CoverComplex`` keeps only what the independence check reads; the
 tables below are derived here from its lift tables and master edges."""
@@ -11,6 +12,21 @@ import json
 from hyperbasis import cover
 from hyperbasis.cover import CoverComplex
 from hyperbasis.errors import InputError
+
+
+def is_connected(cov: CoverComplex) -> bool:
+    """Whether sigma-hat and alpha-hat reach every dart lift from lift 0:
+    a check of the cover's connectivity independent of its face count."""
+    seen = [False] * len(cov.sigma_hat)
+    stack = [0]
+    seen[0] = True
+    while stack:
+        dl = stack.pop()
+        for nxt in (cov.sigma_hat[dl], cov.alpha_hat[dl]):
+            if not seen[nxt]:
+                seen[nxt] = True
+                stack.append(nxt)
+    return all(seen)
 
 
 def winding_parity(cov: CoverComplex, crossings) -> int:

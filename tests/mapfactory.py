@@ -14,7 +14,7 @@ import json
 import random
 
 from hyperbasis.errors import InputError
-from hyperbasis.spheremap import Arc, MapBuilder, SphereMap
+from hyperbasis.spheremap import MapBuilder, SphereMap
 
 
 def map_json(m: SphereMap) -> str:
@@ -38,7 +38,7 @@ def polygon_cycle(n: int) -> SphereMap:
     arcs = {}
     for k in range(n):
         u, w = k + 1, (k + 1) % n + 1
-        arcs[k + 1] = Arc(id=k + 1, kind="edge", u=u, v=w, darts=(2 * k, 2 * k + 1))
+        arcs[k + 1] = ("edge", (2 * k, 2 * k + 1))
         rot[u].append(2 * k)
         rot[w].append(2 * k + 1)
     return SphereMap(rot, arcs)

@@ -448,6 +448,101 @@ def test_malformed_map_exits_2(mutate, message, tmp_path, capsys):
     assert message in err
 
 
+TWO_BARE_VERTICES = {"vertices": [{"id": 1, "rotation": []}, {"id": 2, "rotation": []}], "arcs": []}
+
+
+@pytest.mark.parametrize(
+    "mutate, stderr",
+    [
+        (lambda d: d["arcs"][1].update(darts=[2, 99]), "error: arc 2 uses unknown dart 99\n"),
+        (lambda d: d["arcs"][1].update(darts=[0, 3]), "error: dart 0 belongs to two arcs\n"),
+        (lambda d: d["arcs"].pop(), "error: rotation darts and arc darts differ\n"),
+        (lambda d: d["vertices"][3]["rotation"].append(2), "error: dart 2 listed twice in rotations\n"),
+        (
+            lambda d: d["vertices"].append({"id": 13, "rotation": []}),
+            "error: need an even number >= 4 of cone vertices, got 13\n",
+        ),
+        (
+            lambda d: (d.clear(), d.update(copy.deepcopy(TWO_BARE_VERTICES))),
+            "error: need an even number >= 4 of cone vertices, got 2\n",
+        ),
+        (lambda d: d.update(genus=7), "error: declared genus 7 but 12 cone vertices\n"),
+    ],
+    ids=["unknown dart", "dart in two arcs", "unused dart", "dart listed twice",
+         "odd vertex count", "two vertices", "genus disagrees"],
+)
+def test_map_constructor_errors_exit_2(mutate, stderr, tmp_path, capsys):
+    path = tmp_path / "map.json"
+    path.write_text(json.dumps(block4_with(mutate)))
+    code, out, err = run(["prune", "--map", str(path)], capsys)
+    assert (code, out, err) == (2, "", stderr)
+
+
+@pytest.mark.parametrize(
+    "model, stderr",
+    [
+        ([], "invalid input: synthetic model must be a JSON object\n"),
+        (
+            genus2_model(distances=[[0.0 if a == b else 2.0 * (a + b != 1) for b in range(6)]
+                                    for a in range(6)]),
+            "invalid input: off-diagonal distances must be positive\n",
+        ),
+    ],
+    ids=["not an object", "zero distance"],
+)
+def test_synthetic_model_errors_exit_2(model, stderr, tmp_path, capsys):
+    code, out, err = run_model(model, tmp_path, capsys)
+    assert (code, out, err) == (2, "", stderr)
+
+
+def test_map_file_not_an_object_exits_2(tmp_path, capsys):
+    path = tmp_path / "map.json"
+    path.write_text("[]")
+    code, out, err = run(["prune", "--map", str(path)], capsys)
+    assert (code, out, err) == (2, "", "invalid input: map description must be an object\n")
+
+
+def test_edge_out_of_a_loop_exits_2(tmp_path, capsys):
+    # vertex 1's loop encloses vertex 2; then bone 3-4 freezes, and 2
+    # reaches frozen 3, which has no corner inside the loop
+    dist = [[0.0 if a == b else 2.0 for b in range(6)] for a in range(6)]
+    dist[1][2] = dist[2][1] = 1.2
+    dist[2][3] = dist[3][2] = 1.0
+    arcs = [
+        {"kind": "loop", "i": 1, "enclosed": [2]},
+        {"kind": "edge", "i": 3, "j": 4},
+        {"kind": "edge", "i": 2, "j": 3},
+    ]
+    model = genus2_model(distances=dist, loop_radii=[0.3] + [10.0] * 5, arcs=arcs)
+    code, out, err = run_model(model, tmp_path, capsys)
+    assert (code, out, err) == (2, "", "error: vertex 3 has no corner on the region of 2\n")
+
+
+def test_radius_decrease_inside_the_tie_window_exits_2(tmp_path, capsys):
+    # bone 1-2 at 1000.0000005 ties with vertex 3's loop at 1000.0 (the
+    # window is 1e-9 relative) and goes first, as pairs do; the loop then
+    # comes 5e-7 lower, past the absolute tolerance 1e-9 of the check
+    dist = [[0.0 if a == b else 5000.0 for b in range(6)] for a in range(6)]
+    dist[0][1] = dist[1][0] = 2000.000001
+    model = genus2_model(distances=dist, loop_radii=[5000.0, 5000.0, 1000.0, 5000.0, 5000.0, 5000.0])
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(model))
+    code, out, err = run(["simulate", "--model", str(path)], capsys)
+    assert (code, out, err) == (
+        2, "", "error: event radius 1000.0 decreases below 1000.0000005 at step 2\n"
+    )
+
+
+def test_nonpositive_oracle_value_exits_2(monkeypatch, capsys):
+    from hyperbasis import hypmodel
+
+    monkeypatch.setattr(
+        hypmodel.RegularDoubledPolygonModel, "loop_radius", lambda self, i: 0.0
+    )
+    code, out, err = run(["pipeline", "--genus", "2"], capsys)
+    assert (code, out, err) == (2, "", "error: nonpositive event radius 0.0\n")
+
+
 @pytest.mark.parametrize(
     "subset, message",
     [

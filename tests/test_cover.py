@@ -18,7 +18,7 @@ PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 def census(cov):
     return {
         "chi": cov.euler(),
-        "connected": cov.is_connected(),
+        "connected": coverqueries.is_connected(cov),
         "branch": len(cov.branch_vertices),
     }
 
@@ -263,7 +263,7 @@ class RestartMaster(cover.MasterComplex):
         for region in smap.regions:
             anchors: list[tuple[int, int | None]] = []
             for fkey in region["faces"]:
-                face = smap.face(fkey)
+                face = smap.faces[fkey]
                 v = min(self.dart_vertex[d] for d in face)
                 anchors.append((v, self._corner_handle(face, v)))
             for v in region["isolated"]:

@@ -16,7 +16,7 @@ from hyperbasis.errors import (
     InputError,
     InvalidMetric,
 )
-from hyperbasis.spheremap import Arc, ComponentKind, SphereMap, classify_components
+from hyperbasis.spheremap import ComponentKind, SphereMap, classify_components
 from mapfactory import euler_summary, polygon_cycle
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -184,29 +184,52 @@ def test_log_roundtrip_and_validation():
         growth.GrowthLog(log.genus, log.model, [mangled] + log.events[1:]).validate()
 
 
-def test_partial_validate_accepts_an_empty_log():
-    growth.GrowthLog(genus=2, model="?", events=[]).validate(partial=True)
+def test_validate_rejects_genus_one():
     with pytest.raises(InputError, match="genus must be >= 2, got 1"):
-        growth.GrowthLog(genus=1, model="?", events=[]).validate(partial=True)
+        growth.GrowthLog(genus=1, model="?", events=[]).validate()
 
 
-def test_partial_validate_checks_a_prefix():
+def test_validate_checks_each_event():
     log = growth.simulate(hypmodel.regular_model(3))
     prefix = growth.GrowthLog(log.genus, log.model, log.events[:2])
-    prefix.validate(partial=True)
     with pytest.raises(InputError, match="M = 2 outside"):
         prefix.validate()
+    # one field changed in a full log keeps the termination arithmetic
     misnumbered = log.events[1] | {"m": 3}
     with pytest.raises(InputError, match="event 2 misnumbered as 3"):
-        growth.GrowthLog(log.genus, log.model, [log.events[0], misnumbered]).validate(
-            partial=True
-        )
+        growth.GrowthLog(
+            log.genus, log.model, [log.events[0], misnumbered, *log.events[2:]]
+        ).validate()
     # vertex 2 froze in event 1; event 2 reaches frozen vertex 1 from it
     refreezing = log.events[1] | {"i": 2}
     with pytest.raises(InputError, match="event 2 refreezes vertex 2"):
-        growth.GrowthLog(log.genus, log.model, [log.events[0], refreezing]).validate(
-            partial=True
-        )
+        growth.GrowthLog(
+            log.genus, log.model, [log.events[0], refreezing, *log.events[2:]]
+        ).validate()
+
+
+@pytest.mark.parametrize(
+    "changes, message",
+    [
+        # event 1 is bone 1-2; event 2 reaches frozen 1 from 8; 7 events, n = 8
+        ({0: {"k": 3}, 6: {"k": 0}}, "final consumed count 8 invalid"),
+        ({1: {"j_before": 5}}, "event 2 has j_before 5 != 2"),
+        ({1: {"r": 0.5}}, "event 2 radius decreases"),
+        ({0: {"kind": "self"}}, "self event 1 malformed"),
+        ({0: {"j": None}}, "pair event 1 malformed"),
+        ({0: {"other_frozen": True}}, "pair event 1 malformed"),
+        ({1: {"other_frozen": False}}, "pair event 2 malformed"),
+        ({0: {"kind": "bone"}}, "unknown event kind 'bone'"),
+    ],
+    ids=["final count", "j_before", "radius", "self", "pair without j",
+         "frozen pair of two", "active pair of one", "kind"],
+)
+def test_validate_rejects_a_changed_event(changes, message):
+    log = growth.simulate(hypmodel.regular_model(3))
+    events = [ev | changes.get(idx, {}) for idx, ev in enumerate(log.events)]
+    with pytest.raises(InputError) as info:
+        growth.GrowthLog(log.genus, log.model, events).validate()
+    assert str(info.value) == message
 
 
 def test_missing_arc_descriptor():
@@ -258,10 +281,7 @@ def boundary_cycle_arc_graph(model, log):
         side_event[side] = ev["m"]
     sub = master.without_arcs(set(master.arcs) - set(side_event))
     arcs = {
-        side_event[a.id]: Arc(
-            id=side_event[a.id], kind=a.kind, u=a.u, v=a.v, darts=a.darts
-        )
-        for a in sub.arcs.values()
+        side_event[a.id]: (a.kind, a.darts) for a in sub.arcs.values()
     }
     return SphereMap(
         sub.rotations, arcs, regions=[dict(r) for r in sub.regions]
@@ -272,11 +292,10 @@ def region_contents(smap):
     """Every region as its isolated vertices and the arcs along its
     faces, free of dart numbering."""
     arc_of = {d: a.id for a in smap.arcs.values() for d in a.darts}
-    face_by_key = {f[0]: f for f in smap.faces}
     return sorted(
         (
             tuple(r["isolated"]),
-            tuple(sorted({arc_of[d] for k in r["faces"] for d in face_by_key[k]})),
+            tuple(sorted({arc_of[d] for k in r["faces"] for d in smap.faces[k]})),
         )
         for r in smap.regions
     )

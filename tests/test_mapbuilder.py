@@ -34,7 +34,11 @@ class ReferenceMapBuilder(sm.RotationSystem):
 
     def _corner_face_key(self, v, pos):
         rot = self.rotations[v]
-        return min(self.face(rot[(pos + 1) % len(rot)]))
+        d = start = rot[(pos + 1) % len(rot)]
+        key = d
+        while (d := self.sigma[self.alpha[d]]) != start:
+            key = min(key, d)
+        return key
 
     def region_of_vertex(self, v):
         for i, r in enumerate(self._regions):
@@ -94,7 +98,7 @@ class ReferenceMapBuilder(sm.RotationSystem):
         if u == w:
             raise EmbeddingError("a bone needs distinct endpoints")
         p, q = self._insert_arc(u, None, w, None)
-        self._register(arc_id, "edge", u, w, (p, q))
+        self._register(arc_id, "edge", (p, q))
         region = self._regions[ru]
         region["isolated"] -= {u, w}
         region["faces"].add(p)
@@ -114,7 +118,7 @@ class ReferenceMapBuilder(sm.RotationSystem):
                 f"vertex {fresh} is not in the region behind that corner"
             )
         p, q = self._insert_arc(host, self.rotations[host][at], fresh, None)
-        self._register(arc_id, "edge", host, fresh, (p, q))
+        self._register(arc_id, "edge", (p, q))
         self._regions[region]["isolated"].discard(fresh)
         self._comp_uf.union(host, fresh)
 
@@ -146,7 +150,7 @@ class ReferenceMapBuilder(sm.RotationSystem):
                 f"vertices {sorted(enclosed - covered)} are not in this region"
             )
         p, q = self._insert_arc(v, None, v, None)
-        self._register(arc_id, "loop", v, v, (p, q))
+        self._register(arc_id, "loop", (p, q))
         outer = self._regions[region]
         outer["isolated"].discard(v)
         outer["isolated"] -= inside_isolated
@@ -159,10 +163,10 @@ class ReferenceMapBuilder(sm.RotationSystem):
         for fk in inside_faces:
             self._face_region[fk] = ridx
 
-    def _register(self, arc_id, kind, u, w, darts):
+    def _register(self, arc_id, kind, darts):
         if arc_id in self.arcs:
             raise InputError(f"duplicate arc id {arc_id}")
-        self.arcs[arc_id] = sm.Arc(id=arc_id, kind=kind, u=u, v=w, darts=tuple(darts))
+        self.arcs[arc_id] = (kind, tuple(darts))
 
     def finalize(self):
         regions = [

@@ -16,7 +16,6 @@ import pytest
 from hyperbasis import cover, families, growth, hypmodel
 from hyperbasis.errors import EmbeddingError, InputError
 from hyperbasis.spheremap import (
-    Arc,
     ComponentKind,
     RegionNode,
     RegionTree,
@@ -292,7 +291,7 @@ def master_map(smap: SphereMap, subgraph) -> SphereMap:
     arcs = {}
     for e in master.edges:
         u, w = (master.dart_vertex[d] for d in e.darts)
-        arcs[e.idx] = Arc(id=e.idx, kind="loop" if u == w else "edge", u=u, v=w, darts=e.darts)
+        arcs[e.idx] = ("loop" if u == w else "edge", e.darts)
     return SphereMap(master.rotations, arcs)
 
 
@@ -314,7 +313,7 @@ def dart_map(rotations: dict[int, list[int]]) -> SphereMap:
     arcs = {}
     for k in range(len(owner) // 2):
         u, w = owner[2 * k], owner[2 * k + 1]
-        arcs[k] = Arc(id=k, kind="loop" if u == w else "edge", u=u, v=w, darts=(2 * k, 2 * k + 1))
+        arcs[k] = ("loop" if u == w else "edge", (2 * k, 2 * k + 1))
     return SphereMap(rotations, arcs)
 
 

@@ -10,6 +10,7 @@ from mapfactory import (
     bones,
     euler_summary,
     hexagon_sub,
+    map_json,
     polygon_cycle,
     random_growth_map,
     random_subgraph,
@@ -41,11 +42,30 @@ def test_two_disjoint_loops_euler():
     assert f == 3
 
 
+def roundtrip_maps():
+    gen = perfbench_gen()
+    rng = random.Random(44)
+    for n in range(2, 40):
+        yield families.block_family(n)
+    for n in range(4, 61, 2):
+        yield random_growth_map(rng, n)
+    for n in range(8, 129, 8):
+        yield sm.from_json(gen.nested_arrangement(rng, n)[0])
+
+
 def test_from_json_roundtrip():
     m = families.block_family(3)
     data = m.to_dict()
     again = sm.from_json(json.dumps(data))
     assert again.to_dict() == data
+    # the constructor reads every endpoint off the rotations it was given
+    for m in roundtrip_maps():
+        again = sm.from_json(map_json(m))
+        assert again.arcs == m.arcs
+        assert again.faces == m.faces and list(again.faces) == sorted(again.faces)
+        assert again.face_of == m.face_of
+        assert again.regions == m.regions
+        assert again.components == m.components
 
 
 def test_from_json_rejects_garbage():
@@ -158,10 +178,7 @@ def test_classification_shapes():
 
 
 def test_theta_graph_invalid():
-    arcs = {
-        i + 1: sm.Arc(id=i + 1, kind="edge", u=1, v=2, darts=(2 * i, 2 * i + 1))
-        for i in range(3)
-    }
+    arcs = {i + 1: ("edge", (2 * i, 2 * i + 1)) for i in range(3)}
     rot = {1: [0, 2, 4], 2: [5, 3, 1], 3: [], 4: []}
     theta = sm.SphereMap(
         rot,
@@ -430,7 +447,7 @@ def replayed_without_arcs(smap, removed):
     """Reference: the former ``without_arcs``, which replayed the
     constructor's private steps on a bare ``SphereMap`` object."""
     removed = set(removed)
-    kept_arcs = {a: smap.arcs[a] for a in smap.arcs if a not in removed}
+    kept_arcs = {a: (x.kind, x.darts) for a, x in smap.arcs.items() if a not in removed}
     dead_darts = {d for a in removed for d in smap.arcs[a].darts}
     rotations = {
         v: [d for d in rot if d not in dead_darts]
@@ -445,14 +462,13 @@ def replayed_without_arcs(smap, removed):
     groups = [{"faces": [], "isolated": []} for _ in classes]
     sub = sm.SphereMap.__new__(sm.SphereMap)
     sm.RotationSystem.__init__(sub, rotations)
-    sub.arcs = kept_arcs
-    sub._pair_darts()
+    sub._pair_darts(kept_arcs)
     sub._build_faces()
     sub._build_components()
     sub.n_cone = smap.n_cone
     sub.genus = smap.genus
     sub._check_component_euler()
-    for f in sub.faces:
+    for f in sub.faces.values():
         old_region = smap.region_of_face[smap.face_of[f[0]]]
         groups[new_idx[uf.find(old_region)]]["faces"].append(f[0])
     for v in sub.isolated:
@@ -493,7 +509,7 @@ def reference_nesting_error(smap, regions):
     and ``("r", region)`` nodes.  Returns the error message, or None.
     Only faces, components and bare vertices of ``smap`` are read."""
     nontrivial = [c for c in smap.components if c.arcs]
-    face_by_min = {f[0]: i for i, f in enumerate(smap.faces)}
+    face_by_min = {f[0]: i for i, f in enumerate(smap.faces.values())}
     region_of_face, region_of_isolated = {}, {}
     for ridx, r in enumerate(regions):
         for key in r.get("faces", []):
@@ -516,7 +532,7 @@ def reference_nesting_error(smap, regions):
     if not nontrivial:
         return None if len(regions) == 1 else "arc-free map must have a single region"
     comp_of_face = {
-        i: smap.component_of[smap.dart_vertex[f[0]]] for i, f in enumerate(smap.faces)
+        i: smap.component_of[smap.dart_vertex[f[0]]] for i, f in enumerate(smap.faces.values())
     }
     seen_pairs = set()
     uf = sm._UnionFind()
@@ -560,7 +576,7 @@ def mutated_regions(rng, m):
             target["isolated"] += other["isolated"]
         elif kind == "non-key":
             if part == "faces":
-                r["faces"].append(rng.choice([d for f in m.faces for d in f[1:]] or [len(m.alpha)]))
+                r["faces"].append(rng.choice([d for f in m.faces.values() for d in f[1:]] or [len(m.alpha)]))
             else:
                 r["isolated"].append(rng.choice([v for v in m.rotations if m.rotations[v]]))
         elif kind == "repeat" and r[part]:
@@ -585,7 +601,8 @@ def test_region_nesting_matches_tuple_keyed_reference():
     for m, regions in nesting_cases():
         want = reference_nesting_error(m, regions)
         try:
-            sm.SphereMap(m.rotations, m.arcs, regions=regions)
+            arcs = {a: (x.kind, x.darts) for a, x in m.arcs.items()}
+            sm.SphereMap(m.rotations, arcs, regions=regions)
             got = None
         except EmbeddingError as e:
             got = str(e)
