@@ -4,12 +4,13 @@ Given an arrangement and a designated arc system H, the sphere is first
 refined into one connected cell complex: scaffold edges chain the pieces
 of every region together, and extra chords are inserted until the
 complex stays connected after removing H's arcs.  The complex is a
-``spheremap.RotationSystem``; the chords come from one pass over its
-faces by smallest dart, each walked once and fanning chords out of one
-corner at its smallest vertex.  A branch-cut set B is then chosen
-inside the non-H edges with odd degree at every vertex, each a cone
-point (a T-join), so that a walk crossing B an odd number of times
-encircles an odd number of cone points.
+``spheremap.RotationSystem`` that starts from copies of the map's
+validated rotation, sigma, alpha and dart-vertex tables; the chords come
+from one pass over its faces by smallest dart, each walked once and
+fanning chords out of one corner at its smallest vertex.  A branch-cut
+set B is then chosen inside the non-H edges with odd degree at every
+vertex, each a cone point (a T-join), so that a walk crossing B an odd
+number of times encircles an odd number of cone points.
 
 The cover itself is the derived map on dart sheets (d, s):
 
@@ -17,11 +18,14 @@ The cover itself is the derived map on dart sheets (d, s):
     sigma*(d, s) = (sigma(d), s ^ B(sigma(d))) crossing the next edge
                                                around the vertex
 
-Vertices with odd B-degree (exactly the cone points) have a single,
-branched lift; all other cells lift twice.  Euler characteristic,
-connectivity, the fixed points of the sheet swap, and the shapes of the
-lifted arcs (edges become single cycles through two branch points,
-loops become figure eights) are validated on every construction.
+Lift (d, s) is 2*i + s for the i-th dart d, so each lift table is its
+sheet-0 slice, one entry per dart, interleaved with that slice with the
+sheet bit flipped.  Vertices with odd B-degree (exactly the cone points)
+have a single, branched lift; all other cells lift twice.  Euler
+characteristic, connectivity, the fixed points of the sheet swap, and
+the shapes of the lifted arcs (edges become single cycles through two
+branch points, loops become figure eights) are validated on every
+construction.
 """
 
 from __future__ import annotations
@@ -29,7 +33,7 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .errors import ConstructionError, InputError
-from .spheremap import RotationSystem, SphereMap, _UnionFind
+from .spheremap import RotationSystem, SphereMap
 
 __all__ = [
     "MasterComplex",
@@ -47,11 +51,21 @@ class _Edge(NamedTuple):
     arc_id: int | None       # None for scaffold edges
 
 
+def _root(parent, x):
+    """Root of ``x`` in the union-find ``parent`` (a dict or a list of
+    parents), path halving: each step links x to its grandparent and
+    moves on to it."""
+    while parent[x] != x:
+        parent[x] = x = parent[parent[x]]
+    return x
+
+
 class MasterComplex(RotationSystem):
     """Connected genus-zero refinement of a sphere arrangement.
 
     Carries the original arcs plus scaffold edges, the branch-cut set B,
-    and rotation/pairing permutations over its darts.
+    and rotation/pairing permutations over its darts.  It starts from
+    copies of the map's validated tables, so no dart is checked twice.
     """
 
     def __init__(self, smap: SphereMap, subgraph):
@@ -60,53 +74,42 @@ class MasterComplex(RotationSystem):
         for aid in sorted(self.subgraph):
             if aid not in smap.arcs:
                 raise InputError(f"unknown arc id {aid}")
-        super().__init__(smap.rotations)
-        self.alpha = dict(smap.alpha)
-        self.edges: list[_Edge] = []
-        self.edge_of_arc: dict[int, int] = {}
-        for aid in sorted(smap.arcs):
-            a = smap.arcs[aid]
-            self._register_edge(a.darts, aid)
+        self._copy_tables(smap)
+        self.edges: list[_Edge] = [
+            _Edge(idx, arc.darts, aid) for idx, (aid, arc) in enumerate(sorted(smap.arcs.items()))
+        ]
+        self.edge_of_arc: dict[int, int] = {e.arc_id: e.idx for e in self.edges}
         self._scaffold_regions()
         self._scaffold_connectivity()
         self._check_euler()
         self.branch_cuts = self._t_join()
 
-    # -- low-level surgery --------------------------------------------
-
-    def _register_edge(self, darts, arc_id) -> None:
-        if arc_id is not None:
-            self.edge_of_arc[arc_id] = len(self.edges)
-        self.edges.append(_Edge(idx=len(self.edges), darts=tuple(darts), arc_id=arc_id))
-
     # -- scaffolding ----------------------------------------------------
 
-    def _corner_handle(self, y: int) -> int:
-        """Dart d whose corner (d -> sigma(d)) leads into dart y: the
-        rotation predecessor of y."""
-        rot = self.rotations[self.dart_vertex[y]]
-        return rot[rot.index(y) - 1]
-
     def _scaffold_regions(self) -> None:
-        """Chain the faces and bare vertices of each region together."""
-        smap = self.smap
-        for region in smap.regions:
+        """Chain the faces and bare vertices of each region together.
+
+        A face is anchored at its smallest vertex v, in the corner into
+        its smallest dart y there (the rotation predecessor of y)."""
+        faces, dart_vertex, rotations, edges = (
+            self.smap.faces, self.dart_vertex, self.rotations, self.edges
+        )
+        for region in self.smap.regions:
             anchors: list[tuple[int, int | None]] = []
             for fkey in region["faces"]:
-                face = smap.faces[fkey]
-                v = min(self.dart_vertex[d] for d in face)
-                y = min(d for d in face if self.dart_vertex[d] == v)
-                anchors.append((v, self._corner_handle(y)))
-            for v in region["isolated"]:
-                anchors.append((v, None))
-            anchors.sort(key=lambda a: (a[0], -1 if a[1] is None else a[1]))
-            for i in range(len(anchors) - 1):
-                u, du = anchors[i]
-                w, dw = anchors[i + 1]
+                v, y = min([(dart_vertex[d], d) for d in faces[fkey]])
+                rot = rotations[v]
+                anchors.append((v, rot[rot.index(y) - 1]))
+            anchors += [(v, None) for v in region["isolated"]]
+            # a region holds one face per component, so no two anchors share
+            # a vertex and the sort never compares handles
+            anchors.sort()
+            for i in range(1, len(anchors)):
+                (u, du), (w, dw) = anchors[i - 1], anchors[i]
                 p, q = self._insert_arc(u, du, w, dw)
-                self._register_edge((p, q), None)
-                # subsequent hops leave from the dart just planted
-                anchors[i + 1] = (w, q)
+                edges.append(_Edge(len(edges), (p, q), None))
+                # the next hop leaves from the dart just planted
+                anchors[i] = (w, q)
 
     def _scaffold_connectivity(self) -> None:
         """Insert chords until the complex minus H's arcs is connected, so
@@ -121,26 +124,35 @@ class MasterComplex(RotationSystem):
         newest chord, so the chords never cross.  A walked face has all
         its vertices in one component, and both ends of every H arc lie
         on a common face, so one pass connects the complex.
+
+        Components are a union-find on ``parent`` (see ``_root``).
         """
-        uf = _UnionFind(self.rotations)
-        for e in self.edges:
-            if e.arc_id not in self.subgraph:
-                uf.union(self.dart_vertex[e.darts[0]], self.dart_vertex[e.darts[1]])
-        n_components = len({uf.find(v) for v in self.rotations})
-        dart_vertex = self.dart_vertex
+        dart_vertex, rotations, edges = self.dart_vertex, self.rotations, self.edges
+        parent = {v: v for v in rotations}
+        n_components = len(parent)
+        for e in edges:
+            if e.arc_id in self.subgraph:
+                continue
+            a = _root(parent, dart_vertex[e.darts[0]])
+            b = _root(parent, dart_vertex[e.darts[1]])
+            if a != b:
+                parent[b] = a
+                n_components -= 1
         for face in self.face_orbits():
             if n_components == 1:
                 return
-            u = min(dart_vertex[d] for d in face)
-            i = face.index(min(d for d in face if dart_vertex[d] == u))
-            handle, root = self._corner_handle(face[i]), uf.find(u)
+            u, y = min([(dart_vertex[d], d) for d in face])
+            i = face.index(y)
+            rot = rotations[u]
+            handle, root = rot[rot.index(y) - 1], _root(parent, u)
             for x in face[i + 1:] + face[:i]:
                 w = dart_vertex[x]
-                if uf.find(w) != root:
-                    self._register_edge(
-                        self._insert_arc(u, handle, w, self._corner_handle(x)), None
-                    )
-                    uf.union(root, w)          # root stays u's root
+                rw = _root(parent, w)
+                if rw != root:
+                    rot = rotations[w]
+                    p, q = self._insert_arc(u, handle, w, rot[rot.index(x) - 1])
+                    edges.append(_Edge(len(edges), (p, q), None))
+                    parent[rw] = root                # root stays u's root
                     n_components -= 1
         if n_components > 1:
             raise ConstructionError(
@@ -200,12 +212,26 @@ def _orbit_ids(perm: list[int]) -> tuple[list[int], list[int]]:
     for start in range(len(perm)):
         if ids[start] >= 0:
             continue
-        dl = start
+        orbit, dl = len(firsts), start
         while ids[dl] < 0:
-            ids[dl] = len(firsts)
+            ids[dl] = orbit
             dl = perm[dl]
         firsts.append(start)
     return ids, firsts
+
+
+def _flip(lifts: list[int]) -> list[int]:
+    """The same lifts on the other sheet."""
+    return [dl ^ 1 for dl in lifts]
+
+
+def _sheets(sheet0: list[int]) -> list[int]:
+    """A lift table from the images of the sheet-0 lifts: lift 2i maps to
+    ``sheet0[i]``, and lift 2i + 1 to that image on the other sheet."""
+    table = sheet0 * 2
+    table[0::2] = sheet0
+    table[1::2] = _flip(sheet0)
+    return table
 
 
 class CoverComplex:
@@ -224,16 +250,12 @@ class CoverComplex:
         self.darts = darts = sorted(master.dart_vertex)
         self.dart_index = index = {d: i for i, d in enumerate(darts)}
         cut = {d for e in master.branch_cuts for d in master.edges[e].darts}
-        on_cut = [d in cut for d in darts]
-        sigma_hat = [0] * (2 * len(darts))
-        alpha_hat = [0] * (2 * len(darts))
-        for i, d in enumerate(darts):
-            si = index[master.sigma[d]]
-            ai = index[master.alpha[d]]
-            for s in (0, 1):
-                sigma_hat[2 * i + s] = 2 * si + (s ^ on_cut[si])
-                alpha_hat[2 * i + s] = 2 * ai + (s ^ on_cut[i])
-        self.sigma_hat, self.alpha_hat = sigma_hat, alpha_hat
+        # the images of the sheet-0 lifts; crossing a cut edge changes sheet
+        lift0 = {d: 2 * i + (d in cut) for i, d in enumerate(darts)}
+        sigma0 = [lift0[master.sigma[d]] for d in darts]
+        alpha0 = [2 * index[master.alpha[d]] + (d in cut) for d in darts]
+        self.sigma_hat = sigma_hat = _sheets(sigma0)
+        self.alpha_hat = alpha_hat = _sheets(alpha0)
         self.vertex_of_lift, self.lift_of_vertex = _orbit_ids(sigma_hat)
         self.edge_of_lift, self.lift_of_edge = _orbit_ids(alpha_hat)
         self.face_of_lift, face_firsts = _orbit_ids([sigma_hat[a] for a in alpha_hat])
@@ -242,7 +264,7 @@ class CoverComplex:
         self.n_faces = len(face_firsts)
         vertex_of = self.vertex_of_lift
         self.branch_vertices = sorted(
-            {cv for dl, cv in enumerate(vertex_of) if cv == vertex_of[dl ^ 1]}
+            {cv for cv, other in zip(vertex_of[0::2], vertex_of[1::2]) if cv == other}
         )
         self.kept_cycle: dict[int, tuple[int, ...]] = {}
         self.hsharp: set[int] = set()
@@ -292,13 +314,11 @@ class CoverComplex:
         branch_base = sorted(map(self._projection_vertex, self.branch_vertices))
         if branch_base != sorted(self.master.rotations):
             raise ConstructionError("sheet swap does not fix exactly the cone points")
-        for dl in range(len(self.sigma_hat)):
-            if self.sigma_hat[dl ^ 1] != self.sigma_hat[dl] ^ 1:
-                raise ConstructionError("sheet swap is not a map automorphism")
-            if self.alpha_hat[dl ^ 1] != self.alpha_hat[dl] ^ 1:
-                raise ConstructionError("sheet swap is not a map automorphism")
-            if self.alpha_hat[self.alpha_hat[dl]] != dl:
-                raise ConstructionError("edge pairing is not an involution")
+        sigma_hat, alpha_hat = self.sigma_hat, self.alpha_hat
+        if sigma_hat[1::2] != _flip(sigma_hat[0::2]) or alpha_hat[1::2] != _flip(alpha_hat[0::2]):
+            raise ConstructionError("sheet swap is not a map automorphism")
+        if [alpha_hat[a] for a in alpha_hat] != list(range(len(alpha_hat))):
+            raise ConstructionError("edge pairing is not an involution")
 
     # -- derived structure -------------------------------------------
 
@@ -330,12 +350,18 @@ def complement_components(cov: CoverComplex, curve_edges=None) -> int:
     if curve_edges is None:
         curve_edges = cov.hsharp
     curve_edges = set(curve_edges)
-    uf = _UnionFind(range(cov.n_faces))
-    face_of, edge_of = cov.face_of_lift, cov.edge_of_lift
-    for dl, other in enumerate(cov.alpha_hat):     # each edge once: its two lifts swap
-        if dl < other and edge_of[dl] not in curve_edges:
-            uf.union(face_of[dl], face_of[other])
-    return len({uf.find(f) for f in range(cov.n_faces)})
+    # a union-find on the faces; each merge joins two components
+    parent = list(range(cov.n_faces))
+    merges = 0
+    face_of, alpha_hat = cov.face_of_lift, cov.alpha_hat
+    for ce, dl in enumerate(cov.lift_of_edge):
+        if ce in curve_edges:
+            continue
+        a, b = _root(parent, face_of[dl]), _root(parent, face_of[alpha_hat[dl]])
+        if a != b:
+            parent[b] = a
+            merges += 1
+    return cov.n_faces - merges
 
 
 def _gf2_extend(basis: dict[int, int], rows) -> int:
@@ -360,8 +386,8 @@ def _gf2_reduce(row: int, basis: dict[int, int]) -> int:
 
 def _boundary_rows(cov: CoverComplex) -> list[int]:
     rows = [0] * cov.n_faces
-    for dl in range(len(cov.sigma_hat)):
-        rows[cov.face_of_lift[dl]] ^= 1 << cov.edge_of_lift[dl]
+    for face, ce in zip(cov.face_of_lift, cov.edge_of_lift):
+        rows[face] ^= 1 << ce
     return rows
 
 

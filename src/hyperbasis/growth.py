@@ -38,6 +38,13 @@ _TIE_REL = 1e-9
 _RADIUS_TOL = 1e-9
 
 
+def _decreases(r: float, r_prev: float) -> bool:
+    """Whether an event radius falls below the one before it by more than
+    the tie window (1e-9 relative), or by more than 1e-9 below radius 1:
+    a tie may take the larger of two radii first."""
+    return r < r_prev - max(_RADIUS_TOL, abs(r_prev) * _TIE_REL)
+
+
 @dataclass
 class GrowthLog:
     genus: int
@@ -78,7 +85,7 @@ class GrowthLog:
                 raise InputError(f"event {idx} misnumbered as {ev['m']}")
             if ev["j_before"] != j:
                 raise InputError(f"event {idx} has j_before {ev['j_before']} != {j}")
-            if r < r_prev - _RADIUS_TOL:
+            if _decreases(r, r_prev):
                 raise InputError(f"event {idx} radius decreases")
             newly: tuple[int, ...]
             if kind == "self":
@@ -171,7 +178,7 @@ def simulate(model) -> GrowthLog:
         tied = [c for c in candidates if c[0] <= r_min + tol]
         tied.sort(key=lambda c: (c[1], c[2]))
         r, _, _, ev = tied[0]
-        if r < r_prev - _RADIUS_TOL:
+        if _decreases(r, r_prev):
             raise InvalidMetric(
                 f"event radius {r} decreases below {r_prev} at step {len(events) + 1}"
             )

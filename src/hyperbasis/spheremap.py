@@ -169,6 +169,16 @@ class RotationSystem:
         self.alpha: dict[int, int] = {}
         self._next_dart = max(self.dart_vertex, default=-1) + 1
 
+    def _copy_tables(self, other: "RotationSystem") -> None:
+        """Fill every table with a copy of ``other``'s, which is already
+        validated; a subclass that refines an existing system calls this
+        instead of ``__init__``."""
+        self.rotations = {v: rot.copy() for v, rot in other.rotations.items()}
+        self.sigma = other.sigma.copy()
+        self.alpha = other.alpha.copy()
+        self.dart_vertex = other.dart_vertex.copy()
+        self._next_dart = other._next_dart
+
     def _insert_arc(self, u: int, du: int | None, w: int, dw: int | None) -> tuple[int, int]:
         """New arc with fresh darts p < q: p goes into the corner after
         dart ``du`` at ``u``, q into the corner after ``dw`` at ``w``.  A

@@ -518,18 +518,39 @@ def test_edge_out_of_a_loop_exits_2(tmp_path, capsys):
     assert (code, out, err) == (2, "", "error: vertex 3 has no corner on the region of 2\n")
 
 
-def test_radius_decrease_inside_the_tie_window_exits_2(tmp_path, capsys):
-    # bone 1-2 at 1000.0000005 ties with vertex 3's loop at 1000.0 (the
-    # window is 1e-9 relative) and goes first, as pairs do; the loop then
-    # comes 5e-7 lower, past the absolute tolerance 1e-9 of the check
+def test_radius_decrease_inside_the_tie_window_exits_0(tmp_path, capsys):
+    # after bone 4-5 at 0.5 and vertex 6's loop at 0.9, bone 1-2 at
+    # 1.05000000102 ties with vertex 3's loop at 1.05 (the window is 1e-9
+    # relative) and goes first, as pairs do; the loop then comes 1.02e-9
+    # lower, inside the window though past 1e-9, and is logged after it;
+    # every radius stays under its packing bound, so the run exits 0
+    dist = [[0.0 if a == b else 5000.0 for b in range(6)] for a in range(6)]
+    dist[3][4] = dist[4][3] = 1.0
+    dist[0][1] = dist[1][0] = 2.10000000204
+    model = genus2_model(distances=dist, loop_radii=[5000.0, 5000.0, 1.05, 5000.0, 5000.0, 0.9])
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(model))
+    code, out, err = run(["simulate", "--model", str(path)], capsys)
+    assert (code, err) == (0, "")
+    events = json.loads(out)["events"]
+    assert [(e["kind"], e["i"], e["j"], e["r"]) for e in events] == [
+        ("pair", 4, 5, 0.5), ("self", 6, None, 0.9), ("pair", 1, 2, 1.05), ("self", 3, None, 1.05)
+    ]
+
+
+def test_radius_decrease_past_the_tie_window_exits_2(tmp_path, capsys):
+    # bone 1-2 at 1000.0000005 ties with the pair 1-3 at 999.99999975 and
+    # goes first; vertex 3 then meets frozen vertex 1 at 1999.9999995 -
+    # 1000.0000005 = 999.999999, 1.5e-6 lower, past the window of 1.0e-6
     dist = [[0.0 if a == b else 5000.0 for b in range(6)] for a in range(6)]
     dist[0][1] = dist[1][0] = 2000.000001
-    model = genus2_model(distances=dist, loop_radii=[5000.0, 5000.0, 1000.0, 5000.0, 5000.0, 5000.0])
+    dist[0][2] = dist[2][0] = 1999.9999995
+    model = genus2_model(distances=dist, loop_radii=[5000.0] * 6)
     path = tmp_path / "model.json"
     path.write_text(json.dumps(model))
     code, out, err = run(["simulate", "--model", str(path)], capsys)
     assert (code, out, err) == (
-        2, "", "error: event radius 1000.0 decreases below 1000.0000005 at step 2\n"
+        2, "", "error: event radius 999.999999 decreases below 1000.0000005 at step 2\n"
     )
 
 
@@ -596,6 +617,18 @@ def test_disconnected_reduced_complex_exits_4(monkeypatch, tmp_path, capsys):
     assert err.endswith(
         "ConstructionError: no face joins two components of the reduced complex\n"
     )
+
+
+def test_skipped_chord_pass_exits_4(monkeypatch, tmp_path, capsys):
+    # without the chord pass, arcs 1 and 2 split the reduced complex
+    monkeypatch.setattr(cover.MasterComplex, "_scaffold_connectivity", lambda self: None)
+    path = tmp_path / "fam.json"
+    path.write_text(map_json(families.block_family(2)))
+    code, out, err = run(["verify", "--map", str(path), "--subset", "1,2"], capsys)
+    assert code == 4
+    assert out == ""
+    assert "Traceback" in err
+    assert err.endswith("ConstructionError: reduced complex is not connected\n")
 
 
 def test_unexpected_exception_exits_4(monkeypatch, tmp_path, capsys):

@@ -9,7 +9,7 @@ import pytest
 import coverqueries
 from hyperbasis import cover, families, prune
 from hyperbasis import spheremap as sm
-from hyperbasis.errors import InputError
+from hyperbasis.errors import ConstructionError, InputError
 from mapfactory import bones, hexagon_sub, polygon_cycle, random_growth_map, random_subgraph
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -273,7 +273,7 @@ class RestartMaster(cover.MasterComplex):
                 u, du = anchors[i]
                 w, dw = anchors[i + 1]
                 p, q = self._insert_arc(u, du, w, dw)
-                self._register_edge((p, q), None)
+                self.edges.append(cover._Edge(len(self.edges), (p, q), None))
                 # subsequent hops leave from the dart just planted
                 anchors[i + 1] = (w, q)
 
@@ -299,7 +299,7 @@ class RestartMaster(cover.MasterComplex):
                     darts = self._insert_arc(
                         u, handle, w, rotation_predecessor(self.rotations, x)
                     )
-                    self._register_edge(darts, None)
+                    self.edges.append(cover._Edge(len(self.edges), darts, None))
         assert len(self._reduced_components().classes()) == 1
 
 
@@ -422,40 +422,216 @@ class CountingDict(dict):
         return super().get(key, default)
 
 
-class CountingUnionFind(sm._UnionFind):
-    finds = 0
+class CountingParents:
+    """A union-find parent table that counts its reads and writes through."""
 
-    def find(self, x):
-        CountingUnionFind.finds += 1
-        return super().find(x)
+    reads = 0
+
+    def __init__(self, parent):
+        self.parent = parent
+
+    def __getitem__(self, x):
+        CountingParents.reads += 1
+        return self.parent[x]
+
+    def __setitem__(self, x, p):
+        self.parent[x] = p
+
+
+ROOT = cover._root
+
+
+def counting_root(parent, x):
+    return ROOT(CountingParents(parent), x)
 
 
 class CountingMaster(cover.MasterComplex):
-    """Counts the sigma reads and union-find lookups of the chord pass."""
+    """Counts the sigma reads and union-find parent reads of the chord pass."""
 
     def _scaffold_connectivity(self):
         plain, self.sigma = self.sigma, CountingDict(self.sigma)
-        CountingUnionFind.finds = 0
+        CountingParents.reads = 0
         super()._scaffold_connectivity()
         plain.update(self.sigma)
         self.sigma_reads, self.sigma = self.sigma.reads, plain
-        self.finds = CountingUnionFind.finds
+        self.parent_reads = CountingParents.reads
 
 
 def test_scaffold_work_grows_linearly(monkeypatch):
     """Each face is walked once, and the chords fanned out of it never
     send the walk back; a chord pass that re-walks the big outer face
     once per chord reads sigma about 400 times per dart at 400 blocks,
-    and its reads grow 4x per doubling."""
-    monkeypatch.setattr(cover, "_UnionFind", CountingUnionFind)
+    and its reads grow 4x per doubling.  Each union-find lookup reads
+    the parent table at least once, so a pass that stopped using
+    ``_root`` would read 0 here."""
+    monkeypatch.setattr(cover, "_root", counting_root)
     work = {}
     for n in (100, 200, 400):
         for which, case in enumerate(pruned_masters(families.block_family(n))):
             master = CountingMaster(*case)
             darts = len(master.dart_vertex)
             assert master.sigma_reads <= 10 * darts
-            assert master.finds <= 10 * darts
-            work[n, which] = (master.sigma_reads, master.finds)
+            assert len(master.rotations) <= master.parent_reads <= 10 * darts
+            work[n, which] = (master.sigma_reads, master.parent_reads)
     for which in (0, 1):
         assert work[400, which][0] <= 2.5 * work[200, which][0]
         assert work[400, which][1] <= 2.5 * work[200, which][1]
+
+
+# -- the lift tables, one lift at a time --------------------------------
+
+
+class PerLiftCover(cover.CoverComplex):
+    """The cover with its lift tables filled one lift at a time, and its
+    sheet swap and edge pairing checked one lift at a time."""
+
+    def __init__(self, master):
+        self.master = master
+        self.n_cone = master.smap.n_cone
+        self.darts = darts = sorted(master.dart_vertex)
+        self.dart_index = index = {d: i for i, d in enumerate(darts)}
+        cut = {d for e in master.branch_cuts for d in master.edges[e].darts}
+        on_cut = [d in cut for d in darts]
+        sigma_hat = [0] * (2 * len(darts))
+        alpha_hat = [0] * (2 * len(darts))
+        for i, d in enumerate(darts):
+            si = index[master.sigma[d]]
+            ai = index[master.alpha[d]]
+            for s in (0, 1):
+                sigma_hat[2 * i + s] = 2 * si + (s ^ on_cut[si])
+                alpha_hat[2 * i + s] = 2 * ai + (s ^ on_cut[i])
+        self.sigma_hat, self.alpha_hat = sigma_hat, alpha_hat
+        self.vertex_of_lift, self.lift_of_vertex = cover._orbit_ids(sigma_hat)
+        self.edge_of_lift, self.lift_of_edge = cover._orbit_ids(alpha_hat)
+        self.face_of_lift, face_firsts = cover._orbit_ids([sigma_hat[a] for a in alpha_hat])
+        self.n_vertices = len(self.lift_of_vertex)
+        self.n_edges = len(self.lift_of_edge)
+        self.n_faces = len(face_firsts)
+        vertex_of = self.vertex_of_lift
+        self.branch_vertices = sorted(
+            {cv for dl, cv in enumerate(vertex_of) if cv == vertex_of[dl ^ 1]}
+        )
+        self.kept_cycle = {}
+        self.hsharp = set()
+        self._lift_arcs()
+        self._validate()
+
+    def _validate(self):
+        for dl in range(len(self.sigma_hat)):
+            if self.sigma_hat[dl ^ 1] != self.sigma_hat[dl] ^ 1:
+                raise ConstructionError("sheet swap is not a map automorphism")
+            if self.alpha_hat[dl ^ 1] != self.alpha_hat[dl] ^ 1:
+                raise ConstructionError("sheet swap is not a map automorphism")
+            if self.alpha_hat[self.alpha_hat[dl]] != dl:
+                raise ConstructionError("edge pairing is not an involution")
+
+
+def test_bulk_lift_tables_match_the_per_lift_reference(monkeypatch):
+    for m, sub in scaffold_cases():
+        cov = cover.build_cover(m, sub)
+        ref = PerLiftCover(cov.master)
+        for table in (
+            "sigma_hat", "alpha_hat", "vertex_of_lift", "edge_of_lift", "face_of_lift",
+            "branch_vertices", "kept_cycle", "hsharp",
+        ):
+            assert getattr(cov, table) == getattr(ref, table), table
+        parity = sm.is_nonseparating(m, sub)
+        got = cover.verdict(m, sub, parity)
+        with monkeypatch.context() as mp:
+            mp.setattr(cover, "CoverComplex", PerLiftCover)
+            assert cover.verdict(m, sub, parity) == got
+
+
+# -- fault injection: one corrupted table per cover invariant -------------
+
+
+def faulty_master(corrupt):
+    """Master complex of block_family(2) around arcs 1 (an edge) and 2 (a
+    loop), with ``corrupt`` applied once it is built."""
+    master = cover.MasterComplex(families.block_family(2), [1, 2])
+    corrupt(master)
+    return master
+
+
+def faulty_cover(corrupt):
+    """The cover over ``faulty_master``, with ``corrupt`` applied once it
+    is built and validated."""
+    cov = cover.CoverComplex(faulty_master(lambda master: None))
+    corrupt(cov)
+    return cov
+
+
+def first_lifts(cov, aid):
+    """The two lifts of arc ``aid``'s first dart."""
+    i = cov.dart_index[cov.master.smap.arcs[aid].darts[0]]
+    return 2 * i, 2 * i + 1
+
+
+def merge_lifts(cov, aid):
+    """Put both lifts of the arc's first dart on one cover edge."""
+    dl0, dl1 = first_lifts(cov, aid)
+    cov.edge_of_lift[dl1] = cov.edge_of_lift[dl0]
+
+
+def move_end(cov, aid):
+    """Move one end of the arc's first lifted edge to another vertex."""
+    dl = cov.lift_of_edge[cov.edge_of_lift[first_lifts(cov, aid)[0]]]
+    cov.vertex_of_lift[dl] = (cov.vertex_of_lift[dl] + 1) % cov.n_vertices
+
+
+def pair_first_lifts(cov):
+    """Pair the two lifts of dart 0 with each other: the sheet swap holds,
+    and their old partners still point at them."""
+    cov.alpha_hat[0], cov.alpha_hat[1] = 1, 0
+
+
+# corruptions of sigma-hat or alpha-hat that only the last two checks see
+SHEET_FAULTS = [
+    pytest.param(lambda c: c.sigma_hat.__setitem__(1, c.sigma_hat[1] ^ 1),
+                 "sheet swap is not a map automorphism", id="sigma swap"),
+    pytest.param(lambda c: c.alpha_hat.__setitem__(1, c.alpha_hat[1] ^ 1),
+                 "sheet swap is not a map automorphism", id="alpha swap"),
+    pytest.param(pair_first_lifts, "edge pairing is not an involution", id="alpha involution"),
+]
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: faulty_master(lambda m: m.edges.append(m.edges[-1]))._check_euler(),
+         "refined complex has Euler characteristic 1"),
+        (lambda: cover.CoverComplex(faulty_master(lambda m: m.branch_cuts.add(m.edge_of_arc[1]))),
+         "branch cut runs along arc 1"),
+        (lambda: faulty_cover(lambda c: merge_lifts(c, 1))._lift_arcs(),
+         "edge arc 1 lifted to one edge"),
+        (lambda: faulty_cover(lambda c: move_end(c, 1))._lift_arcs(),
+         "edge arc 1 lift is not a bigon"),
+        (lambda: faulty_cover(lambda c: merge_lifts(c, 2))._lift_arcs(),
+         "loop arc 2 lifted to one edge"),
+        (lambda: faulty_cover(lambda c: move_end(c, 2))._lift_arcs(),
+         "loop arc 2 lift is not a figure eight"),
+        (lambda: faulty_cover(lambda c: setattr(c, "n_faces", c.n_faces + 1))._validate(),
+         "cover Euler characteristic -1, expected -2"),
+        (lambda: faulty_cover(lambda c: setattr(c, "alpha_hat", list(range(len(c.alpha_hat)))))._validate(),
+         "cover is disconnected"),
+        (lambda: faulty_cover(lambda c: c.branch_vertices.pop())._validate(),
+         "sheet swap does not fix exactly the cone points"),
+    ],
+    ids=["refined euler", "cut along H", "edge on one edge", "edge not a bigon",
+         "loop on one edge", "loop not a figure eight", "cover euler", "disconnected",
+         "branch points"],
+)
+def test_a_corrupted_table_fails_its_check(build, message):
+    with pytest.raises(ConstructionError) as info:
+        build()
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("corrupt, message", SHEET_FAULTS)
+def test_a_corrupted_lift_table_fails_its_check_and_the_per_lift_one(corrupt, message):
+    cov = faulty_cover(corrupt)
+    for validate in (cover.CoverComplex._validate, PerLiftCover._validate):
+        with pytest.raises(ConstructionError) as info:
+            validate(cov)
+        assert str(info.value) == message
+

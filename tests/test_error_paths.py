@@ -30,6 +30,8 @@ TESTS = Path(__file__).resolve().parent
 SRC = TESTS.parent / "src" / "hyperbasis"
 
 INVARIANT = "internal invariant, exit 4 if it ever fails: "
+# An internal invariant that a corrupted table reaches has a unit or CLI
+# row; the comment above such a row says why it holds on every input.
 
 PATHS = {
     # -- bounds
@@ -62,32 +64,47 @@ PATHS = {
     ("cover", "MasterComplex._scaffold_connectivity",
      "no face joins two components of the reduced complex"):
         ("cli", "test_cli.py::test_disconnected_reduced_complex_exits_4"),
+    # scaffold edges join components in a region and chords split faces: V - E + F = 2
     ("cover", "MasterComplex._check_euler", "refined complex has Euler characteristic {}"):
-        ("unreachable", INVARIANT + "scaffold edges join components in a region and chords split faces: V - E + F = 2"),
+        ("unit", "test_cover.py::test_a_corrupted_table_fails_its_check"),
+    # the chord pass connects the complex minus H or raises first
     ("cover", "MasterComplex._t_join", "reduced complex is not connected"):
-        ("unreachable", INVARIANT + "the chord pass connects the complex minus H or raises first"),
+        ("cli", "test_cli.py::test_skipped_chord_pass_exits_4"),
     ("cover", "MasterComplex._t_join", "odd number of branch points"):
-        ("unreachable", INVARIANT + "the map constructor admits only an even number of cone points"),
+        ("unreachable", INVARIANT + "the map constructor admits only an even number of cone points; "
+                                    "no one corrupted table reaches it, since a vertex added to the "
+                                    "rotations is bare and fails the connectivity check first, and "
+                                    "one removed leaves its darts and edges without a vertex"),
+    # the T-join is taken among the edges outside H
     ("cover", "CoverComplex._lift_arcs", "branch cut runs along arc {}"):
-        ("unreachable", INVARIANT + "the T-join is taken among the edges outside H"),
+        ("unit", "test_cover.py::test_a_corrupted_table_fails_its_check"),
+    # an alpha-hat orbit holds one lift of each dart, so a dart's two lifts are two edges
     ("cover", "CoverComplex._lift_arcs", "edge arc {} lifted to one edge"):
-        ("unreachable", INVARIANT + "an alpha-hat orbit holds one lift of each dart, so a dart's two lifts are two edges"),
+        ("unit", "test_cover.py::test_a_corrupted_table_fails_its_check"),
+    # both lifts join the single lifts of the arc's two distinct cone points
     ("cover", "CoverComplex._lift_arcs", "edge arc {} lift is not a bigon"):
-        ("unreachable", INVARIANT + "both lifts join the single lifts of the arc's two distinct cone points"),
+        ("unit", "test_cover.py::test_a_corrupted_table_fails_its_check"),
+    # as for an edge arc
     ("cover", "CoverComplex._lift_arcs", "loop arc {} lifted to one edge"):
-        ("unreachable", INVARIANT + "an alpha-hat orbit holds one lift of each dart, so a dart's two lifts are two edges"),
+        ("unit", "test_cover.py::test_a_corrupted_table_fails_its_check"),
+    # the base is a cone point, whose single lift both loop lifts start and end at
     ("cover", "CoverComplex._lift_arcs", "loop arc {} lift is not a figure eight"):
-        ("unreachable", INVARIANT + "the base is a cone point, whose single lift both loop lifts start and end at"),
+        ("unit", "test_cover.py::test_a_corrupted_table_fails_its_check"),
+    # Riemann-Hurwitz gives 4 - n for n branch points on the sphere
     ("cover", "CoverComplex._validate", "cover Euler characteristic {}, expected {}"):
-        ("unreachable", INVARIANT + "Riemann-Hurwitz gives 4 - n for n branch points on the sphere"),
+        ("unit", "test_cover.py::test_a_corrupted_table_fails_its_check"),
+    # a branch point joins the two sheets of the connected master complex
     ("cover", "CoverComplex._validate", "cover is disconnected"):
-        ("unreachable", INVARIANT + "a branch point joins the two sheets of the connected master complex"),
+        ("unit", "test_cover.py::test_a_corrupted_table_fails_its_check"),
+    # the T-join is odd at every vertex, and every vertex is a cone point
     ("cover", "CoverComplex._validate", "sheet swap does not fix exactly the cone points"):
-        ("unreachable", INVARIANT + "the T-join is odd at every vertex, and every vertex is a cone point"),
+        ("unit", "test_cover.py::test_a_corrupted_table_fails_its_check"),
+    # both lift tables flip the sheet by a bit that ignores the sheet
     ("cover", "CoverComplex._validate", "sheet swap is not a map automorphism"):
-        ("unreachable", INVARIANT + "both lift tables flip the sheet by a bit that ignores the sheet"),
+        ("unit", "test_cover.py::test_a_corrupted_lift_table_fails_its_check_and_the_per_lift_one"),
+    # alpha is an involution and both darts of a cut edge are on the cut
     ("cover", "CoverComplex._validate", "edge pairing is not an involution"):
-        ("unreachable", INVARIANT + "alpha is an involution and both darts of a cut edge are on the cut"),
+        ("unit", "test_cover.py::test_a_corrupted_lift_table_fails_its_check_and_the_per_lift_one"),
     ("cover", "z2_cycle_rank", "unknown cover edge {}"):
         ("unit", "test_cover.py::test_z2_rank_names_the_smallest_unknown_edge"),
     ("cover", "z2_cycle_rank", "input chain is not a cycle"):
@@ -131,7 +148,7 @@ PATHS = {
     ("growth", "simulate", "distance between {} and {} is {}"):
         ("unit", "test_growth.py::test_nonfinite_oracle_value_is_invalid_metric"),
     ("growth", "simulate", "event radius {} decreases below {} at step {}"):
-        ("cli", "test_cli.py::test_radius_decrease_inside_the_tie_window_exits_2"),
+        ("cli", "test_cli.py::test_radius_decrease_past_the_tie_window_exits_2"),
     ("growth", "simulate", "nonpositive event radius {}"):
         ("cli", "test_cli.py::test_nonpositive_oracle_value_exits_2"),
     ("growth", "verify_radius_bounds", "BoundViolation"):

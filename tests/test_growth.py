@@ -232,6 +232,23 @@ def test_validate_rejects_a_changed_event(changes, message):
     assert str(info.value) == message
 
 
+def test_validate_allows_a_decrease_inside_the_tie_window():
+    def log(r2):
+        rows = [("pair", 1, 2, 1000.0000005, 2), ("self", 3, None, r2, 1),
+                ("pair", 4, 5, 1001.0, 2), ("self", 6, None, 1002.0, 1)]
+        events, j = [], 0
+        for m, (kind, i, w, r, k) in enumerate(rows, start=1):
+            events.append({"m": m, "kind": kind, "i": i, "j": w, "other_frozen": False,
+                           "r": r, "k": k, "j_before": j})
+            j += k
+        return growth.GrowthLog(2, "synthetic", events)
+
+    log(1000.0).validate()              # 5e-7 lower, inside the window of 1e-6
+    with pytest.raises(InputError) as info:
+        log(999.999999).validate()      # 1.5e-6 lower
+    assert str(info.value) == "event 2 radius decreases"
+
+
 def test_missing_arc_descriptor():
     data = forced_selftouch_data()
     data["arcs"] = data["arcs"][:1]

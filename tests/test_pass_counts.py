@@ -2,8 +2,9 @@
 
 One run builds one sphere map (the input, which ``prune.verify`` also
 checks the kept arcs on) and one master complex for the cover oracle,
-so it runs one component pass and two rotation-system constructions,
-and the rank reduces every face-boundary row and every kept cycle once.
+which copies the map's rotation tables, so it runs one component pass
+and one rotation-system construction, and the rank reduces every
+face-boundary row and every kept cycle once.
 Preliminary steps that drop loops and leaves read the input too, so a
 map with looped and branched trees costs no more passes.  The passes are
 counted, not timed, so a reintroduced pass fails on any host."""
@@ -61,4 +62,4 @@ def test_prune_map_derives_each_structure_once(make, trims, tmp_path, monkeypatc
         actions = {t["action"] for t in report["trace"]}
         assert {"prelim-drop-loop", "prelim-drop-leaf"} <= actions
     rows = cover.build_cover(smap, report["kept"]).n_faces + len(report["kept"])
-    assert counts == {"components": 1, "rotation_systems": 2, "gf2_reductions": rows}
+    assert counts == {"components": 1, "rotation_systems": 1, "gf2_reductions": rows}

@@ -685,3 +685,23 @@ def test_region_tree_counts_match_breadth_first_walks():
         assert got == want
         for units in want.values():
             assert sum(c for _, c in units) == len(m.rotations)
+
+
+# -- copying a validated system's tables -----------------------------------
+
+
+@pytest.mark.parametrize("n", [2, 5, 30])
+def test_copy_tables_equals_a_rebuild(n):
+    """``_copy_tables`` gives the tables ``__init__`` rebuilds from the
+    rotations (plus the pairing), and copies that share no mutable table."""
+    smap = families.block_family(n)
+    rebuilt = sm.RotationSystem(smap.rotations)
+    rebuilt.alpha = dict(smap.alpha)
+    copied = sm.RotationSystem.__new__(sm.RotationSystem)
+    copied._copy_tables(smap)
+    assert vars(copied) == vars(rebuilt)
+    copied._insert_arc(min(smap.rotations), None, max(smap.rotations), None)
+    assert vars(copied) != vars(rebuilt)
+    assert (smap.rotations, smap.sigma, smap.alpha, smap.dart_vertex) == (
+        rebuilt.rotations, rebuilt.sigma, rebuilt.alpha, rebuilt.dart_vertex
+    )
