@@ -33,7 +33,7 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .errors import ConstructionError, InputError
-from .spheremap import RotationSystem, SphereMap
+from .spheremap import RotationSystem, SphereMap, _root
 
 __all__ = [
     "MasterComplex",
@@ -51,15 +51,6 @@ class _Edge(NamedTuple):
     arc_id: int | None       # None for scaffold edges
 
 
-def _root(parent, x):
-    """Root of ``x`` in the union-find ``parent`` (a dict or a list of
-    parents), path halving: each step links x to its grandparent and
-    moves on to it."""
-    while parent[x] != x:
-        parent[x] = x = parent[parent[x]]
-    return x
-
-
 class MasterComplex(RotationSystem):
     """Connected genus-zero refinement of a sphere arrangement.
 
@@ -70,10 +61,7 @@ class MasterComplex(RotationSystem):
 
     def __init__(self, smap: SphereMap, subgraph):
         self.smap = smap
-        self.subgraph = frozenset(int(a) for a in subgraph)
-        for aid in sorted(self.subgraph):
-            if aid not in smap.arcs:
-                raise InputError(f"unknown arc id {aid}")
+        self.subgraph = smap.arc_set(subgraph)
         self._copy_tables(smap)
         self.edges: list[_Edge] = [
             _Edge(idx, arc.darts, aid) for idx, (aid, arc) in enumerate(sorted(smap.arcs.items()))
@@ -125,7 +113,7 @@ class MasterComplex(RotationSystem):
         its vertices in one component, and both ends of every H arc lie
         on a common face, so one pass connects the complex.
 
-        Components are a union-find on ``parent`` (see ``_root``).
+        Components are a union-find on ``parent`` (see ``spheremap._root``).
         """
         dart_vertex, rotations, edges = self.dart_vertex, self.rotations, self.edges
         parent = {v: v for v in rotations}
@@ -428,8 +416,8 @@ def verdict(smap: SphereMap, subgraph, parity: bool) -> tuple[int, int]:
     parity test must call the system nonseparating exactly then; when
     the two oracles differ, one of them is wrong.
     """
-    sub = frozenset(int(a) for a in subgraph)
-    cov = build_cover(smap, sub)
+    cov = build_cover(smap, subgraph)
+    sub = cov.master.subgraph
     components = complement_components(cov)
     rank = z2_cycle_rank(cov, [cov.kept_cycle[a] for a in sorted(sub)])
     basis = components == 1

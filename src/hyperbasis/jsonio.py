@@ -1,10 +1,11 @@
 """Deterministic JSON emission: sorted keys, floats at 9 significant
 digits; and the integer check of JSON input.
 
-One writer makes both report forms.  Its bytes are those of
+One writer makes both report forms.  It takes str keys only, as every
+report key is one.  Its bytes are those of
 ``json.dumps(round_floats(obj), sort_keys=True)`` with ``indent=2`` or
-with compact separators: the stdlib's key, separator and indent rules
-and its string escapes.  It rounds floats as it goes, and leaves no
+with compact separators: the stdlib's separator and indent rules and
+its string escapes.  It rounds floats as it goes, and leaves no
 reference cycle behind (the stdlib's indenting encoder leaves one per
 call)."""
 
@@ -45,27 +46,6 @@ def round_floats(obj):
 _first = itemgetter(0)
 
 
-def _key(key) -> str:
-    """A dict key as JSON writes it: floats unrounded, as the stdlib does."""
-    if isinstance(key, str):
-        return key
-    if isinstance(key, float):
-        if key != key:
-            return "NaN"
-        if math.isinf(key):
-            return "Infinity" if key > 0 else "-Infinity"
-        return float.__repr__(key)
-    if key is True:
-        return "true"
-    if key is False:
-        return "false"
-    if key is None:
-        return "null"
-    if isinstance(key, int):
-        return int.__repr__(key)
-    raise TypeError(f"keys must be str, int, float, bool or None, not {key.__class__.__name__}")
-
-
 def _write(obj, out: list, nl: str, step: str, colon: str) -> None:
     """Append the JSON text of ``obj`` to ``out``.  ``nl`` is the newline
     and indent of the current depth and ``step`` one more level of it
@@ -78,7 +58,9 @@ def _write(obj, out: list, nl: str, step: str, colon: str) -> None:
         sep = "," + inner
         lead = "{" + inner
         for key, value in sorted(obj.items(), key=_first):
-            head = lead + _string(key if type(key) is str else _key(key)) + colon
+            if not isinstance(key, str):
+                raise TypeError(f"keys must be str, not {type(key).__name__}")
+            head = lead + _string(key) + colon
             lead = sep
             kind = type(value)
             if kind is int:

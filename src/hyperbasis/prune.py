@@ -197,9 +197,9 @@ def prune(smap: SphereMap) -> PruneResult:
             region = regions[rid]
             step += 1
             entry = {"step": step, "region": rid, "level": level}
+            trace.append(entry)     # completed below by the case that applies
             if region.isolated:
                 entry.update({"case": 1, "action": "skip"})
-                trace.append(entry)
                 continue
             if len(region.inner) >= 2:
                 lam = min(region.inner, key=lambda a: smap.arcs[a].base)
@@ -212,7 +212,6 @@ def prune(smap: SphereMap) -> PruneResult:
                 entry.update(
                     {"case": 2, "action": "drop-inner-loop", "arc": lam, "paired_loop": remaining}
                 )
-                trace.append(entry)
                 heapq.heappush(queue, (first_base(rid), rid))
                 continue
             pi = outer.get(rid)
@@ -222,7 +221,6 @@ def prune(smap: SphereMap) -> PruneResult:
                     merge(lam)
                     entry.update({"case": 3, "action": "drop-inner-loop", "arc": lam})
                     pair_with_bone(rid, smap.arcs[lam].base)
-                    trace.append(entry)
                     heapq.heappush(queue, (first_base(rid), rid))
                     continue
                 if pi is None:
@@ -235,7 +233,6 @@ def prune(smap: SphereMap) -> PruneResult:
                 entry.update(
                     {"case": 4, "action": "drop-outer-loop", "arc": pi, "paired_loop": lam}
                 )
-                trace.append(entry)
                 continue
             if pi is not None:
                 if not region.free_bones:
@@ -246,7 +243,6 @@ def prune(smap: SphereMap) -> PruneResult:
                 parent = merge(pi)
                 entry.update({"case": 5, "action": "drop-outer-loop", "arc": pi})
                 pair_with_bone(parent, smap.arcs[pi].base)
-                trace.append(entry)
                 continue
             # the whole sphere: only disjoint bones can remain
             bones = region.free_bones
@@ -262,7 +258,6 @@ def prune(smap: SphereMap) -> PruneResult:
             freed = sorted(drop.vertices)
             region.isolated |= set(freed)
             entry.update({"case": 6, "action": "drop-bone-edge", "arc": drop.edges[0]})
-            trace.append(entry)
             for v in freed:
                 pair_with_bone(rid, v)
 

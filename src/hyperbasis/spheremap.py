@@ -14,6 +14,8 @@ insertion keeps sigma up to date, and ``face_orbits`` lists every face;
 a ``SphereMap`` keeps them once, by name (the face's smallest dart).
 ``components`` is the one connected component pass over a subgraph;
 the map's own components and the component kinds come from it.
+``_root`` is the package's one union-find, and ``SphereMap.arc_set``
+its one check that given arc ids name arcs of the map.
 
 Rotation systems determine the embedding of each connected component,
 but not how separate components nest inside one another's faces, so a
@@ -99,32 +101,13 @@ class Component(NamedTuple):
         return ComponentKind.INVALID
 
 
-class _UnionFind:
-    """Union-find over arbitrary hashable items, path halving."""
-
-    def __init__(self, items=()):
-        self.parent = {x: x for x in items}
-
-    def add(self, x):
-        self.parent.setdefault(x, x)
-
-    def find(self, x):
-        p = self.parent
-        while p[x] != x:
-            p[x] = p[p[x]]
-            x = p[x]
-        return x
-
-    def union(self, a, b):
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self.parent[rb] = ra
-
-    def classes(self) -> dict:
-        out: dict = {}
-        for x in self.parent:
-            out.setdefault(self.find(x), []).append(x)
-        return out
+def _root(parent, x):
+    """Root of ``x`` in the union-find ``parent`` (a dict or a list of
+    parents), path halving: each step links x to its grandparent and
+    moves on to it.  Every union links the second root under the first."""
+    while parent[x] != x:
+        parent[x] = x = parent[parent[x]]
+    return x
 
 
 def _orbits(perm: dict[int, int]) -> list[tuple[int, ...]]:
@@ -209,16 +192,20 @@ def components(smap: "SphereMap", arc_ids) -> list[Component]:
     vertex included, ordered by smallest vertex id."""
     arcs = smap.arcs
     arc_ids = sorted(set(arc_ids))
-    uf = _UnionFind(smap.rotations)
+    parent = {v: v for v in smap.rotations}
     for aid in arc_ids:
         a = arcs[aid]
-        uf.union(a.u, a.v)
-    groups = uf.classes()
+        ru, rv = _root(parent, a.u), _root(parent, a.v)
+        if ru != rv:
+            parent[rv] = ru
+    groups: dict[int, list[int]] = {}
+    for v in parent:
+        groups.setdefault(_root(parent, v), []).append(v)
     loops: dict[int, list[int]] = {r: [] for r in groups}
     edges: dict[int, list[int]] = {r: [] for r in groups}
     for aid in arc_ids:
         a = arcs[aid]
-        (loops if a.kind == "loop" else edges)[uf.find(a.u)].append(aid)
+        (loops if a.kind == "loop" else edges)[_root(parent, a.u)].append(aid)
     out = []
     for r, vs in groups.items():
         vertices = tuple(sorted(vs))
@@ -403,21 +390,32 @@ class SphereMap(RotationSystem):
         merge.  The unions run in the given order, and merged regions are
         numbered by their sorted union-find roots, so the order fixes the
         numbering."""
-        uf = _UnionFind(range(len(self.regions)))
+        parent = list(range(len(self.regions)))
         for aid in arc_ids:
-            uf.union(*self.side_regions(aid))
-        roots = [uf.find(r) for r in range(len(self.regions))]
+            r1, r2 = self.side_regions(aid)
+            a, b = _root(parent, r1), _root(parent, r2)
+            if a != b:
+                parent[b] = a
+        roots = [_root(parent, r) for r in range(len(parent))]
         new_idx = {root: i for i, root in enumerate(sorted(set(roots)))}
         return [new_idx[root] for root in roots]
 
+    def arc_set(self, arc_ids) -> frozenset[int]:
+        """The given arc ids as a set of ints; an id the map lacks raises,
+        naming the smallest."""
+        ids = frozenset(int(a) for a in arc_ids)
+        unknown = [a for a in ids if a not in self.arcs]
+        if unknown:
+            raise InputError(f"unknown arc id {min(unknown)}")
+        return ids
+
     def without_arcs(self, removed: set[int]) -> "SphereMap":
         """The arrangement with the given arcs erased from the sphere: the
-        regions on the two sides of an erased arc merge, and every kept
-        face or newly bare vertex joins the merged region it lay in."""
+        regions on the two sides of an erased arc merge, in the set's
+        iteration order, and every kept face or newly bare vertex joins
+        the merged region it lay in."""
         removed = set(removed)
-        for aid in sorted(removed):
-            if aid not in self.arcs:
-                raise InputError(f"unknown arc id {aid}")
+        self.arc_set(removed)
         kept_arcs = {a: (x.kind, x.darts) for a, x in self.arcs.items() if a not in removed}
         dead_darts = {d for a in removed for d in self.arcs[a].darts}
         rotations = {
@@ -633,17 +631,13 @@ def region_tree(smap: SphereMap, subgraph, *, erased=()) -> RegionTree:
     has two stems (edges to a base).
     """
     arcs = smap.arcs
-    sub = frozenset(int(a) for a in subgraph)
-    ordered = sorted(sub)
-    for aid in ordered:
-        if aid not in arcs:
-            raise InputError(f"unknown arc id {aid}")
+    ordered = sorted(smap.arc_set(subgraph))
     bad_shape = InputError("subgraph has a component outside the growth shapes")
     loop_arcs = [a for a in ordered if arcs[a].kind == "loop"]
     bases = {arcs[a].base for a in loop_arcs}
     if len(bases) != len(loop_arcs):
         raise bad_shape
-    puf = _UnionFind()
+    piece_parent: dict[int, int] = {}     # union-find on the piece vertices
     stems = []                     # (base, stem dart at the base, piece vertex)
     for aid in ordered:
         a = arcs[aid]
@@ -653,19 +647,20 @@ def region_tree(smap: SphereMap, subgraph, *, erased=()) -> RegionTree:
             raise bad_shape
         if a.u in bases:
             stems.append((a.u, a.darts[0], a.v))
-            puf.add(a.v)
+            piece_parent.setdefault(a.v, a.v)
         elif a.v in bases:
             stems.append((a.v, a.darts[1], a.u))
-            puf.add(a.u)
+            piece_parent.setdefault(a.u, a.u)
         else:
-            puf.add(a.u)
-            puf.add(a.v)
-            if puf.find(a.u) == puf.find(a.v):
+            piece_parent.setdefault(a.u, a.u)
+            piece_parent.setdefault(a.v, a.v)
+            ru, rv = _root(piece_parent, a.u), _root(piece_parent, a.v)
+            if ru == rv:
                 raise bad_shape
-            puf.union(a.u, a.v)
+            piece_parent[rv] = ru
     piece_stem: dict[int, tuple[int, int]] = {}     # piece root -> (base, stem)
     for base, stem, x in stems:
-        root = puf.find(x)
+        root = _root(piece_parent, x)
         if root in piece_stem:
             raise bad_shape
         piece_stem[root] = (base, stem)
@@ -689,10 +684,13 @@ def region_tree(smap: SphereMap, subgraph, *, erased=()) -> RegionTree:
 
     # vertices isolated in the subgraph: neither a loop base nor in a piece
     for v in smap.rotations:
-        if v not in bases and v not in puf.parent:
+        if v not in bases and v not in piece_parent:
             nodes[node_of_region[smap.vertex_region(v)]].isolated.append(v)
 
-    for root, verts in puf.classes().items():
+    pieces: dict[int, list[int]] = {}    # piece root -> vertices
+    for v in piece_parent:
+        pieces.setdefault(_root(piece_parent, v), []).append(v)
+    for root, verts in pieces.items():
         # a stem dart determines its side of the loop; all corners at a
         # vertex off the loop bases lie in one node
         base, corner = piece_stem.get(root, (None, smap.rotations[root][0]))
@@ -839,7 +837,7 @@ class MapBuilder(RotationSystem):
         del self._region_of[u], self._region_of[w]
         self._component[u] = self._component[w] = {u, w}
 
-    def attach_edge(self, arc_id: int, fresh: int, host: int, at: int = 0) -> None:
+    def attach_edge(self, arc_id: int, fresh: int, host: int, at: int) -> None:
         """Edge from a bare vertex into the corner after rotation position
         ``at`` of an occupied vertex; the bare vertex must sit in the
         region that corner borders."""

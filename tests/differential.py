@@ -1,22 +1,26 @@
-"""Differential harness for the map commands: this tree against another.
+"""Differential harness for the map and model commands: this tree
+against another.
 
-Seeded inputs go through ``prune --map`` and ``verify --map --subset`` in
-both trees, and the script prints, per command, each tree's exit-code
-histogram and every input whose exit code, stdout digest or stderr
-differs.  It exits 1 when any input differs.
+Seeded inputs go through ``prune --map``, ``verify --map --subset``,
+``simulate --model`` and ``pipeline --model`` in both trees, and the
+script prints, per command, each tree's exit-code histogram and every
+input whose exit code, stdout digest or stderr differs.  It exits 1 when
+any input differs.
 
     python tests/differential.py --against ../other-checkout [--small]
 
 The maps are ``families.block_family(2..39)``, ``random_growth_map`` with
 6..60 cone points and ``perfbench/gen.nested_arrangement`` with 8..128,
 each with random arc subsets and with one to three random JSON edits (the
-replace, delete and repeat edits of ``test_cli.mutated``).  ``--small``
-takes a few of each.  The inputs are written once, by this tree's
-generators, into a temporary directory; each tree then runs all of them in
-one child process with its own ``src`` first on the path.  Standard
-library only.  In stderr the tree's own path reads ``<tree>``, and a
-traceback is compared by its last line, since line numbers move with any
-edit.
+replace, delete and repeat edits of ``test_cli.mutated``).  The models
+are the synthetic models that replay the nested arrangements, each also
+with one to three such edits.  ``--small`` takes a few of each.  The
+inputs are written once, by this tree's generators, into a temporary
+directory; each tree then runs all of them in one child process with its
+own ``src`` first on the path.  Standard library only.  In stderr the
+tree's own path reads ``<tree>``, the stage timings a ``pipeline``
+writes read ``#s``, and a traceback is compared by its last line, since
+line numbers move with any edit.
 """
 
 from __future__ import annotations
@@ -30,6 +34,7 @@ import io
 import json
 import math
 import random
+import re
 import subprocess
 import sys
 import tempfile
@@ -39,7 +44,7 @@ from pathlib import Path
 TESTS = Path(__file__).resolve().parent
 ROOT = TESTS.parent
 
-COMMANDS = ("prune", "verify")
+COMMANDS = ("prune", "verify", "simulate", "pipeline")
 SEED = 1
 
 
@@ -107,23 +112,25 @@ def generators():
 
 
 def seeded_maps(small: bool):
-    """(label, map dict) of every input map."""
+    """(label, map dict, model dict) of every input map; the model is the
+    synthetic one that replays the map, or None."""
     families, mapfactory, gen = generators()
     rng = random.Random(SEED)
     for n in range(2, 6 if small else 40):
-        yield f"blocks-{n}", families.block_family(n).to_dict()
+        yield f"blocks-{n}", families.block_family(n).to_dict(), None
     for n in range(6, 13 if small else 61, 2):
-        yield f"growth-{n}", mapfactory.random_growth_map(rng, n).to_dict()
+        yield f"growth-{n}", mapfactory.random_growth_map(rng, n).to_dict(), None
     for n in range(8, 17 if small else 129, 4 if small else 2):
-        yield f"nested-{n}", gen.nested_arrangement(rng, n)[0]
+        yield f"nested-{n}", *gen.nested_arrangement(rng, n)
 
 
 def write_jobs(workdir: Path, small: bool) -> list[tuple[str, str, list[str]]]:
     """Write the input files; return (command, label, argv) of every run."""
     rng = random.Random(SEED + 1)
+    model_rng = random.Random(SEED + 2)
     per_map = 1 if small else 2
     jobs = []
-    for label, doc in seeded_maps(small):
+    for label, doc, model in seeded_maps(small):
         docs = [(label, doc)] + [
             (f"{label}-mutated-{k}", mutated(rng, doc)) for k in range(per_map)
         ]
@@ -138,14 +145,24 @@ def write_jobs(workdir: Path, small: bool) -> list[tuple[str, str, list[str]]]:
                     "verify", f"{name}-subset-{k}",
                     ["verify", "--map", str(path), "--subset", ",".join(map(str, subset))],
                 ))
+        if model is None:
+            continue
+        for name, body in ((f"{label}-model", model),
+                           (f"{label}-model-mutated", mutated(model_rng, model))):
+            path = workdir / f"{name}.json"
+            path.write_text(json.dumps(body), encoding="utf-8")
+            jobs += [(command, name, [command, "--model", str(path)])
+                     for command in ("simulate", "pipeline")]
     return jobs
 
 
 # -- one tree ------------------------------------------------------------
 
 
-def normalized(err: str, tree: str) -> str:
+def normalized(err: str, tree: str, command: str) -> str:
     err = err.replace(tree, "<tree>")
+    if command == "pipeline":
+        err = re.sub(r"\d+\.\d{3}s\b", "#s", err)
     head, sep, trace = err.partition("Traceback (most recent call last):")
     if sep:
         err = head + sep + " ... " + trace.rstrip("\n").rsplit("\n", 1)[-1] + "\n"
@@ -163,7 +180,7 @@ def worker(tree: Path, jobs_path: Path) -> None:
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = cli.main(argv)
         digest = hashlib.sha256(out.getvalue().encode()).hexdigest()
-        rows.append([code, digest, normalized(err.getvalue(), str(tree))])
+        rows.append([code, digest, normalized(err.getvalue(), str(tree), argv[0])])
     sys.stdout.write(json.dumps(rows))
 
 

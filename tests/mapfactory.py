@@ -1,5 +1,6 @@
 """Arrangement builders shared across the test modules: small fixed
-maps, random growth-shaped maps and arc subsets, and map JSON.
+maps, random growth-shaped maps and arc subsets, map JSON, and the
+reference checks' union-find.
 
 Random growth-shaped maps replay the growth process combinatorially
 with random choices: every inserted arc has a bare endpoint, so the
@@ -15,6 +16,35 @@ import random
 
 from hyperbasis.errors import InputError
 from hyperbasis.spheremap import MapBuilder, SphereMap
+
+
+class UnionFind:
+    """Plain union-find over hashable items for the reference checks:
+    each union links the second root under the first, and no path is
+    shortened, so it shares no code with the package's ``_root``."""
+
+    def __init__(self, items=()):
+        self.parent = {x: x for x in items}
+
+    def add(self, x):
+        self.parent.setdefault(x, x)
+
+    def find(self, x):
+        while self.parent[x] != x:
+            x = self.parent[x]
+        return x
+
+    def union(self, a, b):
+        ra, rb = self.find(a), self.find(b)
+        if ra != rb:
+            self.parent[rb] = ra
+
+    def classes(self) -> dict:
+        """Root -> members, in the order the members were added."""
+        out: dict = {}
+        for x in self.parent:
+            out.setdefault(self.find(x), []).append(x)
+        return out
 
 
 def map_json(m: SphereMap) -> str:

@@ -10,7 +10,14 @@ import coverqueries
 from hyperbasis import cover, families, prune
 from hyperbasis import spheremap as sm
 from hyperbasis.errors import ConstructionError, InputError
-from mapfactory import bones, hexagon_sub, polygon_cycle, random_growth_map, random_subgraph
+from mapfactory import (
+    UnionFind,
+    bones,
+    hexagon_sub,
+    polygon_cycle,
+    random_growth_map,
+    random_subgraph,
+)
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -277,8 +284,8 @@ class RestartMaster(cover.MasterComplex):
                 # subsequent hops leave from the dart just planted
                 anchors[i + 1] = (w, q)
 
-    def _reduced_components(self) -> sm._UnionFind:
-        uf = sm._UnionFind(self.rotations)
+    def _reduced_components(self) -> UnionFind:
+        uf = UnionFind(self.rotations)
         for e in self.edges:
             if e.arc_id not in self.subgraph:
                 uf.union(self.dart_vertex[e.darts[0]], self.dart_vertex[e.darts[1]])

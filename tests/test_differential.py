@@ -7,7 +7,7 @@ import differential
 def test_differential_harness_finds_nothing_against_its_own_tree(capsys):
     assert differential.main(["--against", str(differential.ROOT), "--small"]) == 0
     out = capsys.readouterr().out
-    assert out.endswith("44 inputs, 0 differ\n")
+    assert out.endswith("56 inputs, 0 differ\n")
     for command in differential.COMMANDS:
         assert f"{command} here: exit 0: " in out
 
@@ -25,4 +25,12 @@ def test_a_changed_stderr_or_exit_code_is_reported():
 
 def test_a_traceback_is_compared_by_its_last_line():
     err = 'Traceback (most recent call last):\n  File "/x/src/a.py", line 3\nValueError: no\n'
-    assert differential.normalized(err, "/x") == "Traceback (most recent call last): ... ValueError: no\n"
+    assert differential.normalized(err, "/x", "prune") == (
+        "Traceback (most recent call last): ... ValueError: no\n"
+    )
+
+
+def test_pipeline_timings_are_normalized():
+    err = "growth 0.012s  prune+verify 1.250s  report 10.003s\n"
+    assert differential.normalized(err, "/x", "pipeline") == "growth #s  prune+verify #s  report #s\n"
+    assert differential.normalized(err, "/x", "simulate") == err

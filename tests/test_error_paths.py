@@ -59,8 +59,6 @@ PATHS = {
     ("cli", "_parse_subset", "--subset entries must be arc ids, got {}"):
         ("cli", "test_cli.py::test_verify_bad_subset_exits_2"),
     # -- cover
-    ("cover", "MasterComplex.__init__", "unknown arc id {}"):
-        ("unit", "test_spheremap.py::test_unknown_arc_named_is_the_smallest"),
     ("cover", "MasterComplex._scaffold_connectivity",
      "no face joins two components of the reduced complex"):
         ("cli", "test_cli.py::test_disconnected_reduced_complex_exits_4"),
@@ -226,7 +224,7 @@ PATHS = {
         ("cli", "test_cli.py::test_non_integer_model_genus_exits_2"),
     ("jsonio", "_round", "non-finite value {} in report"):
         ("unit", "test_jsonio.py::test_non_finite_value_raises_the_reference_error"),
-    ("jsonio", "_key", "keys must be str, int, float, bool or None, not {}"):
+    ("jsonio", "_write", "keys must be str, not {}"):
         ("unit", "test_jsonio.py::test_unsupported_values_and_keys_raise_the_stdlib_type_error"),
     ("jsonio", "_write", "Object of type {} is not JSON serializable"):
         ("unit", "test_jsonio.py::test_unsupported_values_and_keys_raise_the_stdlib_type_error"),
@@ -305,8 +303,8 @@ PATHS = {
         ("unit", "test_spheremap.py::test_region_nesting_matches_tuple_keyed_reference"),
     ("spheremap", "SphereMap._check_region_tree", "region incidence is not connected"):
         ("unit", "test_spheremap.py::test_region_nesting_matches_tuple_keyed_reference"),
-    ("spheremap", "SphereMap.without_arcs", "unknown arc id {}"):
-        ("unit", "test_spheremap.py::test_unknown_arc_named_is_the_smallest"),
+    ("spheremap", "SphereMap.arc_set", "unknown arc id {}"):
+        ("cli", "test_cli.py::test_verify_bad_subset_exits_2"),
     ("spheremap", "from_json", "bad JSON: {}"):
         ("cli", "test_cli.py::test_verify_malformed_map"),
     ("spheremap", "from_json", "map description must be an object"):
@@ -333,8 +331,6 @@ PATHS = {
         ("cli", "test_cli.py::test_malformed_map_exits_2"),
     ("spheremap", "_check_regions", "regions[{}] must be an object, got {}"):
         ("cli", "test_cli.py::test_malformed_map_exits_2"),
-    ("spheremap", "region_tree", "unknown arc id {}"):
-        ("cli", "test_cli.py::test_verify_bad_subset_exits_2"),
     ("spheremap", "region_tree", "bad_shape"):
         ("unit", "test_region_tree_reference.py::test_each_bad_shape_is_rejected_like_the_reference"),
     ("spheremap", "region_tree", "loop {} does not separate the sphere"):
@@ -446,7 +442,7 @@ def bone_builder():
         (lambda: sm.MapBuilder([1]), InputError, "need at least two vertices"),
         (lambda: sm.MapBuilder(range(1, 5)).add_bone(1, 3, 3), EmbeddingError,
          "a bone needs distinct endpoints"),
-        (lambda: bone_builder().attach_edge(2, 2, 1), EmbeddingError, "vertex 2 is not bare"),
+        (lambda: bone_builder().attach_edge(2, 2, 1, 0), EmbeddingError, "vertex 2 is not bare"),
     ],
     ids=["alpha bound domain", "one block", "distance table", "erased loop",
          "one vertex", "bone at one vertex", "attach from an occupied vertex"],

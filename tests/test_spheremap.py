@@ -7,6 +7,7 @@ from hyperbasis import cover, families, growth, hypmodel
 from hyperbasis import spheremap as sm
 from hyperbasis.errors import EmbeddingError, InputError
 from mapfactory import (
+    UnionFind,
     bones,
     euler_summary,
     hexagon_sub,
@@ -315,8 +316,10 @@ def test_without_arcs_updates_regions():
         lambda m, ids: sm.region_tree(m, ids),
         lambda m, ids: cover.MasterComplex(m, ids),
         lambda m, ids: m.without_arcs(ids),
+        lambda m, ids: m.arc_set(ids),
+        lambda m, ids: cover.verdict(m, ids, True),
     ],
-    ids=["region_tree", "MasterComplex", "without_arcs"],
+    ids=["region_tree", "MasterComplex", "without_arcs", "arc_set", "verdict"],
 )
 @pytest.mark.parametrize("ids", [{16, 9}, {9, 16}, {1, 40, 12, 9}, {-2, 9, 3}])
 def test_unknown_arc_named_is_the_smallest(check, ids):
@@ -453,7 +456,7 @@ def replayed_without_arcs(smap, removed):
         v: [d for d in rot if d not in dead_darts]
         for v, rot in smap.rotations.items()
     }
-    uf = sm._UnionFind(range(len(smap.regions)))
+    uf = UnionFind(range(len(smap.regions)))
     for aid in removed:
         r1, r2 = smap.side_regions(aid)
         uf.union(r1, r2)
@@ -535,7 +538,7 @@ def reference_nesting_error(smap, regions):
         i: smap.component_of[smap.dart_vertex[f[0]]] for i, f in enumerate(smap.faces.values())
     }
     seen_pairs = set()
-    uf = sm._UnionFind()
+    uf = UnionFind()
     for c in nontrivial:
         uf.add(("c", c.key))
     for r in range(len(regions)):
