@@ -20,12 +20,19 @@ and the ``simulate`` command writes exactly these fields.
 
 ``simulate`` reads the metric model once per vertex (its loop radius)
 and once per unordered pair (their distance) before the first event; a
-non-finite value raises ``InvalidMetric``.  Each event still rescans
-every candidate, so a run with n cone points costs O(n^3) table reads.
+non-finite value raises ``InvalidMetric``.  Each candidate is built
+once, with a radius that never changes, into one heap: every self touch
+and active pair at the start, and a vertex's pairs with the still-active
+ones when it freezes.  A candidate whose active end has frozen is
+dropped when it reaches the top.  Each event pops the candidates tied
+with the top, takes the first by the tie rule and pushes the others
+back, so a run with n cone points costs O(n^2 log n) (a tied set of
+O(n) per event, as in the regular model, stays within that).
 """
 
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass
 
@@ -133,51 +140,60 @@ def simulate(model) -> GrowthLog:
             if not math.isfinite(d):
                 raise InvalidMetric(f"distance between {i} and {w} is {d}")
             dist[i][w] = dist[w][i] = d
-    active = set(vertices)
-    frozen_radius: dict[int, float] = {}
+    # Every candidate is built once and keeps its radius: a self touch is
+    # worth loop[i], an active pair dist[i][w] / 2, and once f freezes at r,
+    # a pair (i, f) with i active is worth dist[i][f] - r.  Heap entries are
+    # (radius, kind rank, endpoint pair, other_frozen, payload); pairs beat
+    # self touches, and other_frozen tells a stale active pair from the live
+    # frozen pair on the same endpoints, so no two payloads are compared.
+    heap: list[tuple[float, int, tuple[int, int], bool, dict]] = []
+    for i in vertices:
+        heap.append(
+            (
+                loop[i],
+                1,
+                (i, i),
+                False,
+                {"kind": "self", "i": i, "j": None, "other_frozen": False, "k": 1},
+            )
+        )
+        for w in range(i + 1, n + 1):
+            heap.append(
+                (
+                    dist[i][w] / 2.0,
+                    0,
+                    (i, w),
+                    False,
+                    {"kind": "pair", "i": i, "j": w, "other_frozen": False, "k": 2},
+                )
+            )
+    heapq.heapify(heap)
+    active = [False] + [True] * n
+
+    def live(entry) -> bool:
+        # the payload's i is active in every kind; an active pair needs its j too
+        ev = entry[4]
+        return active[ev["i"]] and (ev["k"] == 1 or active[ev["j"]])
+
     events: list[dict] = []
     j = 0
     r_prev = 0.0
 
-    while active:
-        # (radius, kind rank, endpoint pair, payload); pairs beat self touches
-        candidates: list[tuple[float, int, tuple[int, int], dict]] = []
-        active_sorted = sorted(active)
-        frozen_sorted = sorted(frozen_radius.items())
-        for i in active_sorted:
-            candidates.append(
-                (
-                    loop[i],
-                    1,
-                    (i, i),
-                    {"kind": "self", "i": i, "j": None, "other_frozen": False, "k": 1},
-                )
-            )
-            for w in active_sorted:
-                if w <= i:
-                    continue
-                candidates.append(
-                    (
-                        dist[i][w] / 2.0,
-                        0,
-                        (i, w),
-                        {"kind": "pair", "i": i, "j": w, "other_frozen": False, "k": 2},
-                    )
-                )
-            for f, rf in frozen_sorted:
-                candidates.append(
-                    (
-                        dist[i][f] - rf,
-                        0,
-                        (min(i, f), max(i, f)),
-                        {"kind": "pair", "i": i, "j": f, "other_frozen": True, "k": 1},
-                    )
-                )
-        r_min = min(c[0] for c in candidates)
+    while j < n:
+        while not live(heap[0]):
+            heapq.heappop(heap)
+        r_min = heap[0][0]
         tol = abs(r_min) * _TIE_REL + 1e-18
-        tied = [c for c in candidates if c[0] <= r_min + tol]
-        tied.sort(key=lambda c: (c[1], c[2]))
-        r, _, _, ev = tied[0]
+        tied = []
+        while heap and heap[0][0] <= r_min + tol:
+            entry = heapq.heappop(heap)
+            if live(entry):
+                tied.append(entry)
+        best = min(tied, key=lambda c: (c[1], c[2]))
+        for entry in tied:
+            if entry is not best:
+                heapq.heappush(heap, entry)
+        r, ev = best[0], best[4]
         if _decreases(r, r_prev):
             raise InvalidMetric(
                 f"event radius {r} decreases below {r_prev} at step {len(events) + 1}"
@@ -186,9 +202,22 @@ def simulate(model) -> GrowthLog:
             raise InvalidMetric(f"nonpositive event radius {r}")
         events.append(ev | {"m": len(events) + 1, "r": r, "j_before": j})
         newly = (ev["i"],) if ev["k"] == 1 else (ev["i"], ev["j"])
-        for v in newly:
-            active.remove(v)
-            frozen_radius[v] = r
+        for f in newly:
+            active[f] = False
+        # both ends of a bone freeze before their pairs go in: no pair of two frozen
+        for f in newly:
+            for i in vertices:
+                if active[i]:
+                    heapq.heappush(
+                        heap,
+                        (
+                            dist[i][f] - r,
+                            0,
+                            (i, f) if i < f else (f, i),
+                            True,
+                            {"kind": "pair", "i": i, "j": f, "other_frozen": True, "k": 1},
+                        ),
+                    )
         j += ev["k"]
         r_prev = max(r_prev, r)
 

@@ -14,7 +14,9 @@ The maps are ``families.block_family(2..39)``, ``random_growth_map`` with
 each with random arc subsets and with one to three random JSON edits (the
 replace, delete and repeat edits of ``test_cli.mutated``).  The models
 are the synthetic models that replay the nested arrangements, each also
-with one to three such edits.  ``--small`` takes a few of each.  The
+with one to three such edits, and once with one distance pair or loop
+radius changed to another positive number (``edited``), so that growth
+runs on a changed table.  ``--small`` takes a few of each.  The
 inputs are written once, by this tree's generators, into a temporary
 directory; each tree then runs all of them in one child process with its
 own ``src`` first on the path.  Standard library only.  In stderr the
@@ -101,6 +103,28 @@ def mutated(rng: random.Random, doc):
     return doc
 
 
+def edited(rng: random.Random, model: dict) -> dict:
+    """``model`` with one symmetric distance pair or one loop radius set to
+    another positive number: a different value of the same table, as it is
+    (so ties arise) or scaled by 0.5..1.5.  The model checks still pass, so
+    growth runs on the changed table."""
+    model = copy.deepcopy(model)
+    dist, radii = model["distances"], model["loop_radii"]
+    pair = rng.random() < 0.5
+    if pair:
+        a, b = rng.sample(range(len(radii)), 2)
+        old, values = dist[a][b], {d for row in dist for d in row if d > 0}
+    else:
+        a = rng.randrange(len(radii))
+        old, values = radii[a], set(radii)
+    new = rng.choice(sorted(values - {old}) or [old]) * rng.choice([1.0, rng.uniform(0.5, 1.5)])
+    if pair:
+        dist[a][b] = dist[b][a] = new
+    else:
+        radii[a] = new
+    return model
+
+
 def generators():
     """This tree's ``families``, ``mapfactory`` and ``perfbench/gen``."""
     saved = list(sys.path)
@@ -128,6 +152,7 @@ def write_jobs(workdir: Path, small: bool) -> list[tuple[str, str, list[str]]]:
     """Write the input files; return (command, label, argv) of every run."""
     rng = random.Random(SEED + 1)
     model_rng = random.Random(SEED + 2)
+    edit_rng = random.Random(SEED + 3)
     per_map = 1 if small else 2
     jobs = []
     for label, doc, model in seeded_maps(small):
@@ -148,7 +173,8 @@ def write_jobs(workdir: Path, small: bool) -> list[tuple[str, str, list[str]]]:
         if model is None:
             continue
         for name, body in ((f"{label}-model", model),
-                           (f"{label}-model-mutated", mutated(model_rng, model))):
+                           (f"{label}-model-mutated", mutated(model_rng, model)),
+                           (f"{label}-model-edited", edited(edit_rng, model))):
             path = workdir / f"{name}.json"
             path.write_text(json.dumps(body), encoding="utf-8")
             jobs += [(command, name, [command, "--model", str(path)])

@@ -7,7 +7,7 @@ import differential
 def test_differential_harness_finds_nothing_against_its_own_tree(capsys):
     assert differential.main(["--against", str(differential.ROOT), "--small"]) == 0
     out = capsys.readouterr().out
-    assert out.endswith("56 inputs, 0 differ\n")
+    assert out.endswith("62 inputs, 0 differ\n")
     for command in differential.COMMANDS:
         assert f"{command} here: exit 0: " in out
 

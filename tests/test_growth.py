@@ -1,4 +1,5 @@
 import copy
+import functools
 import importlib
 import json
 import math
@@ -496,7 +497,9 @@ def rescan_simulate(model):
         tied = [c for c in candidates if c[0] <= r_min + tol]
         tied.sort(key=lambda c: (c[1], c[2]))
         r, _, _, ev = tied[0]
-        if r < r_prev - 1e-9:
+        # a tie may take the larger radius first: a decrease counts only
+        # past the tie window, 1e-9 relative, or 1e-9 below radius 1
+        if r < r_prev - max(1e-9, abs(r_prev) * 1e-9):
             raise InvalidMetric(
                 f"event radius {r} decreases below {r_prev} at step {len(events) + 1}"
             )
@@ -596,16 +599,56 @@ TIE_MODELS = {
         table(6, 4.0, {(1, 2): 2.0 * (1.0 + 5e-10), (3, 4): 2.0}), [9.0] * 6
     ),
     "self-touches": forced_selftouch_model(),
+    # after bone 4-5 at 0.5 and vertex 6's loop at 0.9, bone 1-2 at
+    # 1.05000000102 ties with vertex 3's loop at 1.05 and goes first; the
+    # loop comes 1.02e-9 lower, inside the window, and is logged after it
+    "decrease-inside-window": synthetic(
+        table(6, 5000.0, {(4, 5): 1.0, (1, 2): 2.10000000204}),
+        [5000.0, 5000.0, 1.05, 5000.0, 5000.0, 0.9],
+    ),
 }
+
+
+@functools.cache
+def rescan_regular(g):
+    # memoising the reference's oracle changes no value, only its speed
+    return outcome(rescan_simulate, OracleModel(hypmodel.regular_model(g), memo=True))
 
 
 @pytest.mark.parametrize("g", range(2, 41))
 def test_simulate_matches_rescan_regular(g):
+    assert outcome(growth.simulate, hypmodel.regular_model(g)) == rescan_regular(g)
+
+
+def regular_prediction(model):
+    """Reference for the regular model in O(n): bone (1, 2) at d/2, then
+    (n, 1), (3, 2), ..., (n - 1, n - 2), each at d - r_f with the other end
+    frozen at r_f.  Every d is the model's own ``pair_distance`` on the
+    sorted pair, and the arithmetic is ``simulate``'s."""
+    n = model.n_points
+    r = model.pair_distance(1, 2) / 2.0
+    froze_at = {1: r, 2: r}
+    events = [{"kind": "pair", "i": 1, "j": 2, "other_frozen": False, "k": 2,
+               "m": 1, "r": r, "j_before": 0}]
+    for m, (i, f) in enumerate([(n, 1)] + [(v, v - 1) for v in range(3, n)], start=2):
+        r = model.pair_distance(min(i, f), max(i, f)) - froze_at[f]
+        froze_at[i] = r
+        events.append({"kind": "pair", "i": i, "j": f, "other_frozen": True, "k": 1,
+                       "m": m, "r": r, "j_before": m})
+    log = growth.GrowthLog(genus=model.genus, model=model.name, events=events)
+    log.validate()
+    return log
+
+
+@pytest.mark.parametrize("g", range(2, 41))
+def test_regular_prediction_matches_rescan(g):
+    assert outcome(regular_prediction, hypmodel.regular_model(g)) == rescan_regular(g)
+
+
+@pytest.mark.parametrize("g", [100, 200])
+def test_simulate_matches_regular_prediction_at_scale(g):
     m = hypmodel.regular_model(g)
-    # memoising the reference's oracle changes no value, only its speed
-    assert outcome(growth.simulate, m) == outcome(
-        rescan_simulate, OracleModel(m, memo=True)
-    )
+    assert outcome(growth.simulate, m) == outcome(regular_prediction, m)
 
 
 @pytest.mark.parametrize("name", sorted(TIE_MODELS))
@@ -628,12 +671,28 @@ def test_tie_models_exercise_the_tie_rule():
     assert pairs("frozen-vs-active")[:3] == [(5, 6, False), (1, 2, False), (3, 5, True)]
     near = growth.simulate(TIE_MODELS["near-tie"]).events[0]
     assert (near["i"], near["j"], near["r"]) == (1, 2, 1.0 + 5e-10)
+    bone, loop = growth.simulate(TIE_MODELS["decrease-inside-window"]).events[2:]
+    assert (bone["i"], bone["j"], loop["i"], loop["j"]) == (1, 2, 3, None)
+    assert loop["r"] < bone["r"] - 1e-9
+
+
+def test_simulate_matches_rescan_past_the_tie_window():
+    # bone 1-2 at 1000.0000005 ties with the pair 1-3 at 999.99999975 and
+    # goes first; vertex 3 then meets frozen vertex 1 1.5e-6 lower, past
+    # the window of 1e-6, and both loops raise the same error
+    m = synthetic(table(6, 5000.0, {(1, 2): 2000.000001, (1, 3): 1999.9999995}), [5000.0] * 6)
+    expected = (
+        "InvalidMetric", "event radius 999.999999 decreases below 1000.0000005 at step 2"
+    )
+    assert outcome(rescan_simulate, m) == expected
+    assert outcome(growth.simulate, m) == expected
 
 
 def test_simulate_matches_rescan_on_quantised_tables():
-    """Tables drawn from a few values, so ties and metric errors are common."""
-    import random
-
+    """Tables drawn from a few values, so ties and metric errors are common;
+    then continuous tables up to genus 9, where candidates go stale without
+    ties: distances between random points of the unit square (a metric) or
+    drawn uniformly (not one)."""
     rng = random.Random(7)
     for _ in range(300):
         g = rng.choice((2, 3, 4))
@@ -644,6 +703,26 @@ def test_simulate_matches_rescan_on_quantised_tables():
             for b in range(a + 1, n + 1)
         }
         radii = [rng.choice((0.5, 0.75, 1.0, 5.0)) for _ in range(n)]
+        m = synthetic(table(n, 1.0, pairs), radii, genus=g)
+        assert outcome(growth.simulate, m) == outcome(rescan_simulate, m)
+    rng = random.Random(8)
+    for planar in [True, False] * 150:
+        g = rng.randint(2, 9)
+        n = 2 * g + 2
+        if planar:
+            points = [(rng.random(), rng.random()) for _ in range(n)]
+            pairs = {
+                (a, b): math.dist(points[a - 1], points[b - 1])
+                for a in range(1, n + 1)
+                for b in range(a + 1, n + 1)
+            }
+        else:
+            pairs = {
+                (a, b): rng.uniform(0.2, 3.0)
+                for a in range(1, n + 1)
+                for b in range(a + 1, n + 1)
+            }
+        radii = [rng.uniform(0.05, 1.5) for _ in range(n)]
         m = synthetic(table(n, 1.0, pairs), radii, genus=g)
         assert outcome(growth.simulate, m) == outcome(rescan_simulate, m)
 
