@@ -24,10 +24,14 @@ non-finite value raises ``InvalidMetric``.  Each candidate is built
 once, with a radius that never changes, into one heap: every self touch
 and active pair at the start, and a vertex's pairs with the still-active
 ones when it freezes.  A candidate whose active end has frozen is
-dropped when it reaches the top.  Each event pops the candidates tied
-with the top, takes the first by the tie rule and pushes the others
-back, so a run with n cone points costs O(n^2 log n) (a tied set of
-O(n) per event, as in the regular model, stays within that).
+dropped when it comes up.  The candidates inside an event's tie window
+move from the heap into a tie pool that is ordered by the tie rule and
+kept across events.  The smallest live radius is the smaller of the
+heap's and the pool's; each event takes the pool's first live candidate
+inside the window, and sends back to the heap any it meets that a lower
+window has left outside.  So no tied candidate is pushed again per
+event, even when O(n) of them tie at every event as in the regular
+model, and a run with n cone points costs O(n^2 log n).
 """
 
 from __future__ import annotations
@@ -175,24 +179,42 @@ def simulate(model) -> GrowthLog:
         ev = entry[4]
         return active[ev["i"]] and (ev["k"] == 1 or active[ev["j"]])
 
+    # The tie pool holds the live candidates taken off the heap inside an
+    # event's tie window, until each one fires, goes stale or falls outside a
+    # later window.  `pool` orders them by the tie rule, then other_frozen
+    # (as in the heap, no two keys are equal), and `pool_radii` holds the same
+    # entries by radius.  An entry that left the pool is stale or back in the
+    # heap with the same radius, so its record there never lowers r_min.
+    pool: list[tuple[int, tuple[int, int], bool, tuple]] = []
+    pool_radii: list[tuple] = []
     events: list[dict] = []
     j = 0
     r_prev = 0.0
 
     while j < n:
+        # the heap holds a live candidate at the start of every event: every
+        # self touch before the first, and the pairs of each active vertex
+        # with the vertex the last event froze after it
         while not live(heap[0]):
             heapq.heappop(heap)
-        r_min = heap[0][0]
-        tol = abs(r_min) * _TIE_REL + 1e-18
-        tied = []
-        while heap and heap[0][0] <= r_min + tol:
+        while pool_radii and not live(pool_radii[0]):
+            heapq.heappop(pool_radii)
+        r_min = min(heap[0][0], pool_radii[0][0]) if pool_radii else heap[0][0]
+        limit = r_min + (abs(r_min) * _TIE_REL + 1e-18)
+        while heap and heap[0][0] <= limit:
             entry = heapq.heappop(heap)
             if live(entry):
-                tied.append(entry)
-        best = min(tied, key=lambda c: (c[1], c[2]))
-        for entry in tied:
-            if entry is not best:
-                heapq.heappush(heap, entry)
+                heapq.heappush(pool, (entry[1], entry[2], entry[3], entry))
+                heapq.heappush(pool_radii, entry)
+        # the first live pooled entry inside the window is the first tied
+        # candidate by the tie rule; a live one outside it goes back to the heap
+        while True:
+            best = heapq.heappop(pool)[3]
+            if not live(best):
+                continue
+            if best[0] <= limit:
+                break
+            heapq.heappush(heap, best)
         r, ev = best[0], best[4]
         if _decreases(r, r_prev):
             raise InvalidMetric(

@@ -120,6 +120,12 @@ class RegularDoubledPolygonModel(MetricModel):
     distance between cone points is the chord of the circumcircle, and
     the shortest geodesic loop based at a vertex runs to the nearest
     non-incident boundary edge and back through the other copy.
+
+    The N - 1 chord lengths are computed once, at construction, indexed
+    by the label difference |i - j| rather than the shorter way round:
+    d(1, N) and d(1, 2) are one chord but differ in the last bits, and
+    the reports keep the bits of each.  ``pair_distance`` is then a
+    range check and a table lookup.
     """
 
     def __init__(self, g: int):
@@ -130,16 +136,18 @@ class RegularDoubledPolygonModel(MetricModel):
         n = self.n_points
         self.circumradius = math.acosh(1.0 / math.tan(math.pi / n))
         self.side = 2.0 * math.acosh(math.sqrt(2.0) * math.cos(math.pi / n))
+        cr, sr = math.cosh(self.circumradius), math.sinh(self.circumradius)
+        self.chords = [0.0] + [
+            math.acosh(cr * cr - sr * sr * math.cos(2.0 * math.pi * m / n))
+            for m in range(1, n)
+        ]
 
     def pair_distance(self, i: int, j: int) -> float:
-        self._check_vertex(i)
-        self._check_vertex(j)
-        if i == j:
-            return 0.0
-        n = self.n_points
-        m = abs(i - j) % n
-        cr, sr = math.cosh(self.circumradius), math.sinh(self.circumradius)
-        return math.acosh(cr * cr - sr * sr * math.cos(2.0 * math.pi * m / n))
+        n = len(self.chords)
+        if not (1 <= i <= n and 1 <= j <= n):
+            self._check_vertex(i)
+            self._check_vertex(j)
+        return self.chords[abs(i - j)]
 
     def loop_radius(self, i: int) -> float:
         """Distance to the nearest non-incident side: the side length.

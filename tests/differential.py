@@ -2,10 +2,12 @@
 against another.
 
 Seeded inputs go through ``prune --map``, ``verify --map --subset``,
-``simulate --model`` and ``pipeline --model`` in both trees, and the
-script prints, per command, each tree's exit-code histogram and every
-input whose exit code, stdout digest or stderr differs.  It exits 1 when
-any input differs.
+``simulate --model`` and ``pipeline --model``, and the regular model of
+each genus 2..40 through ``simulate --genus``, ``pipeline --genus`` and
+``pipeline --genus --lambda 0.5``, in both trees.  The script prints,
+per command, each tree's exit-code histogram and every input whose exit
+code, stdout digest or stderr differs.  It exits 1 when any input
+differs.
 
     python tests/differential.py --against ../other-checkout [--small]
 
@@ -16,13 +18,13 @@ replace, delete and repeat edits of ``test_cli.mutated``).  The models
 are the synthetic models that replay the nested arrangements, each also
 with one to three such edits, and once with one distance pair or loop
 radius changed to another positive number (``edited``), so that growth
-runs on a changed table.  ``--small`` takes a few of each.  The
-inputs are written once, by this tree's generators, into a temporary
-directory; each tree then runs all of them in one child process with its
-own ``src`` first on the path.  Standard library only.  In stderr the
-tree's own path reads ``<tree>``, the stage timings a ``pipeline``
-writes read ``#s``, and a traceback is compared by its last line, since
-line numbers move with any edit.
+runs on a changed table.  ``--small`` takes a few of each, and genus
+2..6.  The inputs are written once, by this tree's generators, into a
+temporary directory; each tree then runs all of them in one child
+process with its own ``src`` first on the path.  Standard library
+only.  In stderr the tree's own path reads ``<tree>``, the stage
+timings a ``pipeline`` writes read ``#s``, and a traceback is compared
+by its last line, since line numbers move with any edit.
 """
 
 from __future__ import annotations
@@ -179,6 +181,11 @@ def write_jobs(workdir: Path, small: bool) -> list[tuple[str, str, list[str]]]:
             path.write_text(json.dumps(body), encoding="utf-8")
             jobs += [(command, name, [command, "--model", str(path)])
                      for command in ("simulate", "pipeline")]
+    for g in range(2, 7 if small else 41):
+        genus = ["--genus", str(g)]
+        jobs += [("simulate", f"regular-{g}", ["simulate", *genus]),
+                 ("pipeline", f"regular-{g}", ["pipeline", *genus]),
+                 ("pipeline", f"regular-{g}-lambda", ["pipeline", *genus, "--lambda", "0.5"])]
     return jobs
 
 

@@ -585,6 +585,9 @@ TIE_MODELS = {
     # every distance equal: each event ties every pair, active or frozen,
     # and the lexicographically first one wins
     "equal-pairs": synthetic(table(6, 2.0, {}), [9.0] * 6),
+    # the same with each loop radius at half of every distance: every window
+    # holds every candidate left, and pairs still win
+    "equal-pairs-and-loops": synthetic(table(6, 2.0, {}), [1.0] * 6),
     # after (5, 6) freezes at 0.5, the frozen pair (3, 5) ties the active
     # pair (1, 2) at 1.0, and (1, 2) is lexicographically first; the frozen
     # pair (1, 5) then ties the active pair (3, 4) and wins
@@ -605,6 +608,13 @@ TIE_MODELS = {
     "decrease-inside-window": synthetic(
         table(6, 5000.0, {(4, 5): 1.0, (1, 2): 2.10000000204}),
         [5000.0, 5000.0, 1.05, 5000.0, 5000.0, 0.9],
+    ),
+    # bone (2, 5) wins the first tie by pair order; the frozen pair (6, 5)
+    # then opens at 999.9999996, whose window ends below the tied pair
+    # (3, 4) at 1000.0000008, so (6, 5) goes next and (3, 4) after it
+    "window-moves-down": synthetic(
+        table(6, 5000.0, {(2, 5): 2000.0000008, (3, 4): 2000.0000016, (5, 6): 2000.0}),
+        [5000.0] * 6,
     ),
 }
 
@@ -668,12 +678,14 @@ def test_tie_models_exercise_the_tie_rule():
 
     assert pairs("pair-before-self")[0] == (1, 2, False)
     assert pairs("equal-pairs") == [(1, 2, False)] + [(v, 1, True) for v in range(3, 7)]
+    assert pairs("equal-pairs-and-loops") == pairs("equal-pairs")
     assert pairs("frozen-vs-active")[:3] == [(5, 6, False), (1, 2, False), (3, 5, True)]
     near = growth.simulate(TIE_MODELS["near-tie"]).events[0]
     assert (near["i"], near["j"], near["r"]) == (1, 2, 1.0 + 5e-10)
     bone, loop = growth.simulate(TIE_MODELS["decrease-inside-window"]).events[2:]
     assert (bone["i"], bone["j"], loop["i"], loop["j"]) == (1, 2, 3, None)
     assert loop["r"] < bone["r"] - 1e-9
+    assert pairs("window-moves-down") == [(2, 5, False), (6, 5, True), (3, 4, False), (1, 2, True)]
 
 
 def test_simulate_matches_rescan_past_the_tie_window():

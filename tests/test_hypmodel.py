@@ -217,6 +217,37 @@ def test_loop_radius_g2_equals_side():
     assert m.pair_distance(1, 2) / 2 < m.loop_radius(1)
 
 
+def closed_form_distance(m, i, j):
+    """The regular chord between vertices i and j, evaluated afresh from
+    the circumradius."""
+    if i == j:
+        return 0.0
+    n = m.n_points
+    k = abs(i - j) % n
+    cr, sr = math.cosh(m.circumradius), math.sinh(m.circumradius)
+    return math.acosh(cr * cr - sr * sr * math.cos(2.0 * math.pi * k / n))
+
+
+@pytest.mark.parametrize("g", [*range(2, 61), 200])
+def test_pair_distance_is_the_closed_form_to_the_bit(g):
+    # d(1, n) and d(1, 2) are the same chord, but the reports keep the bits
+    # of each: the table is indexed by |i - j|, not by the shorter way round
+    m = hypmodel.regular_model(g)
+    vertices = range(1, m.n_points + 1)
+    assert [m.pair_distance(i, j).hex() for i in vertices for j in vertices] == [
+        closed_form_distance(m, i, j).hex() for i in vertices for j in vertices
+    ]
+
+
+def test_pair_distance_checks_both_vertices():
+    m = hypmodel.regular_model(3)
+    n = m.n_points
+    for i, j, bad in [(0, 1, 0), (1, 0, 0), (n + 1, 1, n + 1), (1, n + 1, n + 1),
+                      (-1, 2, -1), (n, n + 1, n + 1), (0, n + 1, 0)]:
+        with pytest.raises(InputError, match=rf"^vertex {bad} out of range 1\.\.{n}$"):
+            m.pair_distance(i, j)
+
+
 def test_loop_radius_checks_the_vertex():
     m = hypmodel.regular_model(3)
     for i in (0, m.n_points + 1):
